@@ -19,10 +19,19 @@
 //   * retire    — a bulk tombstone pass over a quarter of the database
 //                 (reports deletes/s), then one compact() call, timed
 //                 alone: the epoch-boundary pause a live deployment
-//                 would schedule (reports compaction_pause_seconds).
+//                 would schedule (reports compaction_pause_seconds);
+//   * growth    — per-read search time on the functional backend, one
+//                 worker, on a database churned until its id space is
+//                 kGrowthFactor x its live rows, over the same time on a
+//                 fresh load of the same rows (reports
+//                 churned_over_fresh_search). A read should cost what its
+//                 rows and matches cost, so this ratio stays near 1; a
+//                 merge or pass step that walks the id space shows up as
+//                 a ratio that grows with the churn.
 //
 // Exits non-zero if either digest diverges from the frozen arm.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -57,6 +66,44 @@ std::uint64_t digest_prefix(const std::vector<QueryResult>& results,
     for (std::size_t i = 0; i < ids && i < result.decisions.size(); ++i)
       digest.add(result.decisions[i]);
   return digest.value();
+}
+
+/// Churned id space over live rows in the growth arm.
+constexpr std::size_t kGrowthFactor = 16;
+
+/// Seconds per read of `db.search` over `reads` on one worker: the best of
+/// `trials` timed passes, each repeating the read list `reps` times.
+double seconds_per_read(ShardedAccelerator& db,
+                        const std::vector<Sequence>& reads,
+                        std::size_t threshold, std::size_t reps) {
+  const auto start = Clock::now();
+  for (std::size_t rep = 0; rep < reps; ++rep)
+    for (const Sequence& read : reads)
+      db.search(read, threshold, StrategyMode::Full, 1);
+  return seconds_since(start) / static_cast<double>(reps * reads.size());
+}
+
+/// Removes a block of shard 0's live ids and re-appends the same
+/// sequences (fresh ids), folding each block straight back, until the id
+/// space reaches `factor` x the live rows. The fold recycles exactly the
+/// slots the block vacated, so every bank keeps its rows and layout: the
+/// live content and the rows a read sweeps are those of a fresh load, and
+/// only the id space has grown.
+void churn_id_space(ShardedAccelerator& db, std::size_t factor) {
+  const std::size_t live_rows = db.live_segment_count();
+  while (db.loaded_segments() < factor * live_rows) {
+    const auto bank_rows = db.shard(0).live_segments();
+    const std::size_t block = std::max<std::size_t>(1, bank_rows.size() / 2);
+    std::vector<std::uint64_t> ids;
+    std::vector<Sequence> rows;
+    for (std::size_t k = 0; k < block; ++k) {
+      ids.push_back(bank_rows[k].first);
+      rows.push_back(bank_rows[k].second);
+    }
+    db.remove_segments(ids);
+    db.append_segments(rows);
+    db.compact();
+  }
 }
 
 }  // namespace
@@ -194,6 +241,31 @@ int main(int argc, char** argv) {
   churny.compact();
   const double compact_seconds = seconds_since(compact_start);
 
+  // --- Growth arm: churned vs fresh id space, same live rows. ------------
+  ShardedAccelerator fresh_db(bank, shards);
+  ShardedAccelerator churned_db(bank, shards);
+  for (ShardedAccelerator* db : {&fresh_db, &churned_db}) {
+    db->load_reference(segments);
+    db->set_error_profile(sim_config.rates);
+    db->set_backend(BackendKind::Functional);
+  }
+  churn_id_space(churned_db, kGrowthFactor);
+  // Enough repetitions for ~2k reads per trial; trials alternate between
+  // the two databases so host drift hits both alike, and each keeps its
+  // best trial.
+  const std::size_t growth_reps = std::max<std::size_t>(1, 2048 / n_reads);
+  double fresh_per_read = 1e300;
+  double churned_per_read = 1e300;
+  for (int trial = 0; trial < 5; ++trial) {
+    fresh_per_read = std::min(
+        fresh_per_read,
+        seconds_per_read(fresh_db, reads, threshold, growth_reps));
+    churned_per_read = std::min(
+        churned_per_read,
+        seconds_per_read(churned_db, reads, threshold, growth_reps));
+  }
+  const double growth_ratio = churned_per_read / fresh_per_read;
+
   const double grown_overhead = grown_seconds / frozen_seconds;
   const double churn_overhead = churn_seconds / frozen_seconds;
 
@@ -225,12 +297,21 @@ int main(int argc, char** argv) {
       .add_cell("compaction pause")
       .add_cell(format_si(compact_seconds, "s"))
       .add_cell("-");
+  table.new_row()
+      .add_cell("functional search, fresh id space")
+      .add_cell(format_si(fresh_per_read, "s/read"))
+      .add_cell(format_si(1.0 / fresh_per_read, " reads/s"));
+  table.new_row()
+      .add_cell("functional search, id space x" +
+                std::to_string(kGrowthFactor))
+      .add_cell(format_si(churned_per_read, "s/read"))
+      .add_cell(format_si(1.0 / churned_per_read, " reads/s"));
   table.print(std::cout);
 
   std::printf(
-      "\ngrown-db search overhead %.2fx, churn overhead %.2fx, digests "
-      "%s/%s\n",
-      grown_overhead, churn_overhead,
+      "\ngrown-db search overhead %.2fx, churn overhead %.2fx, churned/fresh "
+      "search %.2fx, digests %s/%s\n",
+      grown_overhead, churn_overhead, growth_ratio,
       grown_digest == frozen_digest ? "match" : "DIVERGED",
       churn_digest == frozen_digest ? "match" : "DIVERGED");
 
@@ -253,13 +334,17 @@ int main(int argc, char** argv) {
         {"churn-read-stream", churn_seconds,
          static_cast<double>(n_reads) / churn_seconds},
         {"bulk-tombstone", retire_seconds, deletes_per_second},
-        {"compaction", compact_seconds, 0.0}};
+        {"compaction", compact_seconds, 0.0},
+        {"fresh-functional-search", fresh_per_read, 1.0 / fresh_per_read},
+        {"churned-functional-search", churned_per_read,
+         1.0 / churned_per_read}};
     report.metrics = {
         {"appends_per_second", appends_per_second},
         {"deletes_per_second", deletes_per_second},
         {"grown_search_overhead", grown_overhead},
         {"churn_search_overhead", churn_overhead},
         {"compaction_pause_seconds", compact_seconds},
+        {"churned_over_fresh_search", growth_ratio},
         {"grown_digest_matches",
          grown_digest == frozen_digest ? 1.0 : 0.0},
         {"churn_digest_matches",

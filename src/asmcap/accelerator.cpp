@@ -1,6 +1,7 @@
 #include "asmcap/accelerator.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -59,15 +60,12 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
   const std::size_t a = slot / config_.array_rows;
   const std::size_t r = slot % config_.array_rows;
   ensure_units(a + 1);
-  if (slot < dir_.slots() && !dir_.live[slot]) {
+  if (slot < dir_.slots() && !dir_.slot_live(slot)) {
     // Recycling a tombstoned slot: the previous occupant's id is forgotten
     // for good (its state becomes Unknown — ids are never resurrected).
     id_to_slot_.erase(dir_.ids[slot]);
   }
-  if (slot >= dir_.slots()) {
-    dir_.ids.resize(slot + 1, 0);
-    dir_.live.resize(slot + 1, false);
-  }
+  dir_.grow(slot + 1);
   if (a >= dir_.array_live.size()) dir_.array_live.resize(a + 1, 0);
   // The row's analog silicon is a pure function of its global id: the
   // segment decides identically in whichever slot, array, or bank it
@@ -77,7 +75,7 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
   functional_backend_->write_slot(slot, segment);
   if (sketch_) sketch_->set_row(slot, segment);
   dir_.ids[slot] = id;
-  dir_.live[slot] = true;
+  dir_.set_live(slot, true);
   ++dir_.array_live[a];
   ++dir_.live_count;
   id_to_slot_[id] = slot;
@@ -146,7 +144,7 @@ void AsmcapAccelerator::append_segments(
   targets.reserve(segments.size());
   for (std::size_t slot = 0;
        slot < dir_.slots() && targets.size() < segments.size(); ++slot)
-    if (!dir_.live[slot]) targets.push_back(slot);
+    if (!dir_.slot_live(slot)) targets.push_back(slot);
   for (std::size_t next = dir_.slots(); targets.size() < segments.size();
        ++next)
     targets.push_back(next);
@@ -176,7 +174,7 @@ void AsmcapAccelerator::remove_segments(
     if (it == id_to_slot_.end())
       throw DbError(DbErrorKind::UnknownSegment,
                     "AsmcapAccelerator: unknown segment id");
-    if (!dir_.live[it->second] || !seen.insert(id).second)
+    if (!dir_.slot_live(it->second) || !seen.insert(id).second)
       throw DbError(DbErrorKind::DoubleDelete,
                     "AsmcapAccelerator: segment already deleted");
   }
@@ -187,7 +185,7 @@ void AsmcapAccelerator::remove_segments(
     const std::size_t r = slot % config_.array_rows;
     units_[a].invalidate_row(r);  // all-mismatch mask: zero search energy
     if (sketch_) sketch_->clear_row(slot);
-    dir_.live[slot] = false;
+    dir_.set_live(slot, false);
     --dir_.array_live[a];
     --dir_.live_count;
     if (a >= burst_per_array.size()) burst_per_array.resize(a + 1, 0);
@@ -203,7 +201,7 @@ void AsmcapAccelerator::remove_segments(
 SegmentState AsmcapAccelerator::segment_state(std::uint64_t id) const {
   const auto it = id_to_slot_.find(id);
   if (it == id_to_slot_.end()) return SegmentState::Unknown;
-  return dir_.live[it->second] ? SegmentState::Live : SegmentState::Dead;
+  return dir_.slot_live(it->second) ? SegmentState::Live : SegmentState::Dead;
 }
 
 std::vector<std::pair<std::uint64_t, Sequence>>
@@ -211,7 +209,7 @@ AsmcapAccelerator::live_segments() const {
   std::vector<std::pair<std::uint64_t, Sequence>> out;
   out.reserve(dir_.live_count);
   for (std::size_t slot = 0; slot < dir_.slots(); ++slot) {
-    if (!dir_.live[slot]) continue;
+    if (!dir_.slot_live(slot)) continue;
     const std::size_t a = slot / config_.array_rows;
     const std::size_t r = slot % config_.array_rows;
     out.emplace_back(dir_.ids[slot], units_[a].array().row_segment(r));
@@ -228,7 +226,7 @@ std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   // unwritten rows are masked out of every decision and charge exactly
   // zero search energy).
   for (std::size_t slot = 0; slot < dir_.slots(); ++slot) {
-    if (!dir_.live[slot]) continue;
+    if (!dir_.slot_live(slot)) continue;
     const std::size_t a = slot / config_.array_rows;
     const std::size_t r = slot % config_.array_rows;
     copy->write_slot(slot, dir_.ids[slot], units_[a].array().row_segment(r));
@@ -270,45 +268,60 @@ QueryResult AsmcapAccelerator::execute(const ExecutionPlan& plan,
   QueryResult result;
   result.plan = plan.summary;
 
+  // Per-thread pass scratch: the words keep their capacity from read to
+  // read, so a steady-state read allocates only its own result.
+  thread_local PassResult decided;
+  thread_local PassResult pass;
+
   // ED* pass(es): the original read, plus the rotation schedule when TASR
-  // triggered (Algorithm 2's OR-accumulation).
-  std::vector<bool> ed_star;
+  // triggered (Algorithm 2's OR-accumulation, a word at a time).
   double energy = 0.0;
   for (std::size_t p = 0; p < plan.ed_star_passes.size(); ++p) {
-    PassResult pass =
-        backend.run_pass(plan.ed_star_passes[p], MatchMode::EdStar,
-                         plan.threshold, query_rng, p);
-    energy += pass.energy_joules;
-    if (p == 0) {
-      ed_star = std::move(pass.decisions);
-    } else {
-      for (std::size_t g = 0; g < ed_star.size(); ++g)
-        ed_star[g] = ed_star[g] || pass.decisions[g];
-    }
+    PassResult& out = p == 0 ? decided : pass;
+    backend.run_pass(plan.ed_star_passes[p], MatchMode::EdStar,
+                     plan.threshold, query_rng, p, out);
+    energy += out.energy_joules;
+    if (p != 0)
+      for (std::size_t w = 0; w < decided.words.size(); ++w)
+        decided.words[w] |= pass.words[w];
   }
 
-  // HDAC pass: HD search and probabilistic selection (Algorithm 1). The
-  // selection coin of each row is forked from its global segment id, so
-  // the outcome does not depend on which slot or bank stores it (a dead
-  // slot decides false on both passes and draws no coin).
+  // HDAC pass: HD search and probabilistic selection (Algorithm 1). Only
+  // rows where HD and ED* disagree (the XOR bits) draw a coin; each coin is
+  // forked from the row's global segment id, so the outcome does not
+  // depend on which slot or bank stores it (a dead slot decides false on
+  // both passes and draws no coin).
   if (plan.hd_pass) {
-    const PassResult hd =
-        backend.run_pass(plan.ed_star_passes.front(), MatchMode::Hamming,
-                         plan.threshold, query_rng, kHdPassSalt);
-    energy += hd.energy_joules;
+    backend.run_pass(plan.ed_star_passes.front(), MatchMode::Hamming,
+                     plan.threshold, query_rng, kHdPassSalt, pass);
+    energy += pass.energy_joules;
     const Hdac& hdac = planner().hdac();
     const Rng select_rng = query_rng.fork(kHdacSelectSalt);
-    for (std::size_t g = 0; g < ed_star.size(); ++g) {
-      if (hd.decisions[g] == ed_star[g]) continue;
-      Rng coin = select_rng.fork(dir_.ids[g]);
-      ed_star[g] = hdac.combine(hd.decisions[g], ed_star[g], plan.hdac_p,
-                                coin);
+    for (std::size_t w = 0; w < decided.words.size(); ++w) {
+      const std::uint64_t hd = pass.words[w];
+      for (std::uint64_t differ = decided.words[w] ^ hd; differ != 0;
+           differ &= differ - 1) {
+        const int bit = std::countr_zero(differ);
+        const std::uint64_t mask = std::uint64_t{1} << bit;
+        Rng coin = select_rng.fork(dir_.ids[w * 64 + bit]);
+        if (hdac.combine((hd & mask) != 0, (decided.words[w] & mask) != 0,
+                         plan.hdac_p, coin))
+          decided.words[w] |= mask;
+        else
+          decided.words[w] &= ~mask;
+      }
     }
   }
 
-  result.decisions = std::move(ed_star);
-  for (std::size_t g = 0; g < result.decisions.size(); ++g)
-    if (result.decisions[g]) result.matched_segments.push_back(g);
+  // Match extraction: only the set bits are visited.
+  result.decisions.assign(decided.slots, false);
+  for (std::size_t w = 0; w < decided.words.size(); ++w)
+    for (std::uint64_t bits = decided.words[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t slot =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      result.decisions[slot] = true;
+      result.matched_segments.push_back(slot);
+    }
 
   result.latency_seconds =
       timing_.asmcap_query_latency(plan.summary.total_searches());
@@ -320,20 +333,16 @@ QueryResult AsmcapAccelerator::rebase_to_ids(QueryResult raw) const {
   // On a frozen database slot s holds id segment_base + s, so the raw
   // slot-indexed result already IS the id-indexed result.
   if (identity_layout_) return raw;
+  // Map the matched slots through the directory and sort: the cost is the
+  // match count, whatever the width of the id space.
   const std::uint64_t base =
       static_cast<std::uint64_t>(config_.segment_base);
-  const std::size_t space = static_cast<std::size_t>(next_auto_id_ - base);
-  QueryResult out;
-  out.plan = raw.plan;
-  out.latency_seconds = raw.latency_seconds;
-  out.energy_joules = raw.energy_joules;
-  out.decisions.assign(space, false);
-  for (std::size_t slot = 0; slot < raw.decisions.size(); ++slot)
-    if (raw.decisions[slot])
-      out.decisions[static_cast<std::size_t>(dir_.ids[slot] - base)] = true;
-  for (std::size_t g = 0; g < space; ++g)
-    if (out.decisions[g]) out.matched_segments.push_back(g);
-  return out;
+  for (std::size_t& match : raw.matched_segments)
+    match = static_cast<std::size_t>(dir_.ids[match] - base);
+  std::sort(raw.matched_segments.begin(), raw.matched_segments.end());
+  raw.decisions.assign(static_cast<std::size_t>(next_auto_id_ - base), false);
+  for (const std::size_t id : raw.matched_segments) raw.decisions[id] = true;
+  return raw;
 }
 
 QueryResult AsmcapAccelerator::search(const Sequence& read,

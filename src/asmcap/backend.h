@@ -44,6 +44,16 @@
 // evaluation order. This is what makes the sharded accelerator's
 // decisions invariant in shard count and the streaming service's
 // decisions invariant in completion order.
+//
+// Cost model: a read costs the rows it sweeps and the matches it returns,
+// never the width of the global id space (which every re-append grows).
+// Decisions travel as 64-bit words (PassResult) in caller-owned results
+// reused pass to pass; the functional path keeps its per-row counts in
+// per-thread scratch, so a steady-state pass allocates nothing. The
+// accelerator combines passes a word at a time (rotation OR, HDAC coins
+// only on HD/ED* XOR bits, extraction of set bits only), and the bank
+// rebase and the router merge map just the matched slots to global ids
+// and sort them (docs/architecture.md "What a read costs").
 
 #include <cstddef>
 #include <cstdint>
@@ -66,22 +76,46 @@ enum class BackendKind : std::uint8_t { Circuit, Functional };
 
 const char* to_string(BackendKind kind);
 
+/// Decision words covering `slots` slots (64 slots per word).
+constexpr std::size_t decision_words(std::size_t slots) {
+  return (slots + 63) / 64;
+}
+
 /// Per-slot live-database directory shared by an accelerator and its
 /// backends (slot = array * array_rows + row, allocated in fill order).
 /// The accelerator mutates it on the control plane (append/delete); the
 /// backends read it inside run_pass. A tombstoned slot keeps its last id
 /// (results stay sized by slot) but is masked out of decisions and
 /// matchline energy, and an array whose live count drops to zero is
-/// skipped entirely — no SL-driver energy for dead silicon.
+/// skipped entirely — no SL-driver energy for dead silicon. Liveness is
+/// kept as 64-slot words (the PassResult layout) so a pass masks its
+/// decisions a word at a time.
 struct LiveDirectory {
-  std::vector<std::uint64_t> ids;  ///< Global segment id per slot.
-  std::vector<bool> live;          ///< Tombstone mask per slot.
-  std::vector<std::size_t> array_live;  ///< Live rows per array.
+  std::vector<std::uint64_t> ids;         ///< Global segment id per slot.
+  std::vector<std::uint64_t> live_words;  ///< Bit per slot: set = live.
+  std::vector<std::size_t> array_live;    ///< Live rows per array.
   std::size_t live_count = 0;
 
   std::size_t slots() const { return ids.size(); }
+  /// Grows the tables to `n` slots; new slots are tombstones.
+  void grow(std::size_t n) {
+    if (n <= ids.size()) return;
+    ids.resize(n, 0);
+    live_words.resize(decision_words(n), 0);
+  }
+  /// Liveness word `w` (slots [64w, 64w + 64)); 0 past the end.
+  std::uint64_t live_word(std::size_t w) const {
+    return w < live_words.size() ? live_words[w] : 0;
+  }
   bool slot_live(std::size_t slot) const {
-    return slot < live.size() && live[slot];
+    return (live_word(slot / 64) >> (slot % 64)) & 1U;
+  }
+  void set_live(std::size_t slot, bool live) {
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    if (live)
+      live_words[slot / 64] |= bit;
+    else
+      live_words[slot / 64] &= ~bit;
   }
   std::size_t arrays_in_use() const {
     std::size_t used = 0;
@@ -91,14 +125,30 @@ struct LiveDirectory {
   }
 };
 
-/// Result of one array pass over every allocated row slot. Decisions are
-/// SLOT-indexed; tombstoned slots are always false. On a frozen (never
-/// mutated) database slot == local segment id, so this is exactly the
-/// per-segment bitmap it has always been; after mutations the caller maps
-/// slots to global ids through the LiveDirectory.
+/// Result of one array pass over every allocated row slot, as 64-bit
+/// decision words: bit (slot % 64) of words[slot / 64] is the slot's
+/// decision at the threshold. Tombstoned slots and the tail bits past
+/// `slots` are always 0. Decisions are SLOT-indexed: on a frozen (never
+/// mutated) database slot == local segment id; after mutations the caller
+/// maps slots to global ids through the LiveDirectory. Callers reuse one
+/// result across passes so the words keep their capacity.
 struct PassResult {
-  std::vector<bool> decisions;  ///< Per slot, at the threshold.
-  double energy_joules = 0.0;   ///< SL-driver + matchline energy of the pass.
+  std::vector<std::uint64_t> words;  ///< Decision bits, 64 slots per word.
+  std::size_t slots = 0;
+  double energy_joules = 0.0;  ///< SL-driver + matchline energy of the pass.
+
+  /// Sizes the result for `n` slots, every decision false, no energy.
+  void reset(std::size_t n) {
+    words.assign(decision_words(n), 0);
+    slots = n;
+    energy_joules = 0.0;
+  }
+  bool decision(std::size_t slot) const {
+    return (words[slot / 64] >> (slot % 64)) & 1U;
+  }
+  void set(std::size_t slot) {
+    words[slot / 64] |= std::uint64_t{1} << (slot % 64);
+  }
 };
 
 class ExecutionBackend {
@@ -108,14 +158,14 @@ class ExecutionBackend {
   virtual const char* name() const = 0;
   virtual std::size_t segment_count() const = 0;
 
-  /// One search pass: per-segment decisions at `threshold` (indexed by
-  /// local segment id; the backend's segment_base only salts the RNG).
-  /// Must be thread-safe; per-decision SA noise is forked from
-  /// `query_rng.fork(pass_salt)` per global segment (unused by paths that
-  /// decide ideally). `query_rng` is never advanced.
-  virtual PassResult run_pass(const Sequence& read, MatchMode mode,
-                              std::size_t threshold, const Rng& query_rng,
-                              std::uint64_t pass_salt) const = 0;
+  /// One search pass into `out` (reset, then filled): per-slot decision
+  /// words at `threshold` (indexed by local slot; the global id only salts
+  /// the RNG) and the pass energy. Must be thread-safe; per-decision SA
+  /// noise is forked from `query_rng.fork(pass_salt)` per global segment
+  /// (unused by paths that decide ideally). `query_rng` is never advanced.
+  virtual void run_pass(const Sequence& read, MatchMode mode,
+                        std::size_t threshold, const Rng& query_rng,
+                        std::uint64_t pass_salt, PassResult& out) const = 0;
 };
 
 /// Cell-accurate backend wrapping the manufactured AsmcapArrayUnit bank.
@@ -132,9 +182,9 @@ class CircuitBackend : public ExecutionBackend {
 
   const char* name() const override { return "circuit"; }
   std::size_t segment_count() const override { return dir_->slots(); }
-  PassResult run_pass(const Sequence& read, MatchMode mode,
-                      std::size_t threshold, const Rng& query_rng,
-                      std::uint64_t pass_salt) const override;
+  void run_pass(const Sequence& read, MatchMode mode, std::size_t threshold,
+                const Rng& query_rng, std::uint64_t pass_salt,
+                PassResult& out) const override;
 
  private:
   const std::vector<AsmcapArrayUnit>* units_;
@@ -149,8 +199,13 @@ class CircuitBackend : public ExecutionBackend {
 /// once per (read, rotation), not once per (segment, read). The packed
 /// matrix is owned here and kept row-aligned with the accelerator's slots
 /// by write_slot (the live-database append path); tombstoned slots are
-/// masked out of decisions and row energy by the shared LiveDirectory, and
-/// SL-driver energy is charged only for arrays with at least one live row.
+/// masked out of decisions and row energy by the directory's live words,
+/// and SL-driver energy is charged only for arrays with at least one live
+/// row. Matchline energy is booked in the count domain (paper Eq. 1 with
+/// nominal capacitors): the pass sums k(n−k) over its live rows as an
+/// exact integer and multiplies by C·V²/n once, so a pass's energy is
+///   arrays_in_use · E_SL · n + (Σ k(n−k)) / n · C · V²
+/// whatever order the rows were counted in.
 class FunctionalBackend : public ExecutionBackend {
  public:
   FunctionalBackend(const AsmcapConfig& config,
@@ -163,9 +218,9 @@ class FunctionalBackend : public ExecutionBackend {
 
   const char* name() const override { return "functional"; }
   std::size_t segment_count() const override { return rows_; }
-  PassResult run_pass(const Sequence& read, MatchMode mode,
-                      std::size_t threshold, const Rng& query_rng,
-                      std::uint64_t pass_salt) const override;
+  void run_pass(const Sequence& read, MatchMode mode, std::size_t threshold,
+                const Rng& query_rng, std::uint64_t pass_salt,
+                PassResult& out) const override;
 
  private:
   const LiveDirectory* dir_;
@@ -189,9 +244,9 @@ class EdamCircuitBackend : public ExecutionBackend {
 
   const char* name() const override { return "edam-circuit"; }
   std::size_t segment_count() const override { return segment_count_; }
-  PassResult run_pass(const Sequence& read, MatchMode mode,
-                      std::size_t threshold, const Rng& query_rng,
-                      std::uint64_t pass_salt) const override;
+  void run_pass(const Sequence& read, MatchMode mode, std::size_t threshold,
+                const Rng& query_rng, std::uint64_t pass_salt,
+                PassResult& out) const override;
 
  private:
   const std::vector<CamArray>* arrays_;
@@ -213,9 +268,9 @@ class EdamFunctionalBackend : public ExecutionBackend {
 
   const char* name() const override { return "edam-functional"; }
   std::size_t segment_count() const override { return packed_.rows(); }
-  PassResult run_pass(const Sequence& read, MatchMode mode,
-                      std::size_t threshold, const Rng& query_rng,
-                      std::uint64_t pass_salt) const override;
+  void run_pass(const Sequence& read, MatchMode mode, std::size_t threshold,
+                const Rng& query_rng, std::uint64_t pass_salt,
+                PassResult& out) const override;
 
  private:
   PackedRowMatrix packed_;  ///< Row-major packed segments.

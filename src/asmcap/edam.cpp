@@ -1,5 +1,6 @@
 #include "asmcap/edam.h"
 
+#include <bit>
 #include <stdexcept>
 
 #include "asmcap/db_error.h"
@@ -88,11 +89,12 @@ EdamQueryResult EdamAccelerator::execute(const Sequence& read,
   const ExecutionBackend& backend = this->backend();
 
   EdamQueryResult result;
-  // Pass 0: the original read.
-  PassResult pass = backend.run_pass(read, MatchMode::EdStar, threshold,
-                                     query_rng, 0);
-  result.decisions = std::move(pass.decisions);
-  result.energy_joules = pass.energy_joules;
+  // Pass 0: the original read. Per-thread pass scratch keeps its capacity
+  // from read to read.
+  thread_local PassResult decided;
+  thread_local PassResult pass;
+  backend.run_pass(read, MatchMode::EdStar, threshold, query_rng, 0, decided);
+  result.energy_joules = decided.energy_joules;
   result.searches = 1;
 
   if (config_.sr_enabled) {
@@ -103,14 +105,19 @@ EdamQueryResult EdamAccelerator::execute(const Sequence& read,
     for (const Sequence& rotated :
          rotation_schedule(read, config_.sr_rotations, config_.sr_direction)) {
       if (rotated == read) continue;
-      const PassResult extra = backend.run_pass(
-          rotated, MatchMode::EdStar, threshold, query_rng, pass_salt++);
-      for (std::size_t g = 0; g < result.decisions.size(); ++g)
-        result.decisions[g] = result.decisions[g] || extra.decisions[g];
-      result.energy_joules += extra.energy_joules;
+      backend.run_pass(rotated, MatchMode::EdStar, threshold, query_rng,
+                       pass_salt++, pass);
+      for (std::size_t w = 0; w < decided.words.size(); ++w)
+        decided.words[w] |= pass.words[w];
+      result.energy_joules += pass.energy_joules;
       ++result.searches;
     }
   }
+  result.decisions.assign(decided.slots, false);
+  for (std::size_t w = 0; w < decided.words.size(); ++w)
+    for (std::uint64_t bits = decided.words[w]; bits != 0; bits &= bits - 1)
+      result.decisions[w * 64 + static_cast<std::size_t>(
+                                     std::countr_zero(bits))] = true;
   result.latency_seconds =
       static_cast<double>(result.searches) * config_.current.search_time();
   return result;

@@ -24,13 +24,12 @@ EdamCircuitBackend::EdamCircuitBackend(
       ideal_sensing_(ideal_sensing),
       segment_base_(segment_base) {}
 
-PassResult EdamCircuitBackend::run_pass(const Sequence& read, MatchMode mode,
-                                        std::size_t threshold,
-                                        const Rng& query_rng,
-                                        std::uint64_t pass_salt) const {
+void EdamCircuitBackend::run_pass(const Sequence& read, MatchMode mode,
+                                  std::size_t threshold, const Rng& query_rng,
+                                  std::uint64_t pass_salt,
+                                  PassResult& out) const {
   const Rng pass_rng = query_rng.fork(pass_salt);
-  PassResult result;
-  result.decisions.assign(segment_count_, false);
+  out.reset(segment_count_);
   for (std::size_t a = 0; a < arrays_->size(); ++a) {
     const auto masks = (*arrays_)[a].search_masks(read, mode);
     for (std::size_t r = 0; r < array_rows_; ++r) {
@@ -42,13 +41,11 @@ PassResult EdamCircuitBackend::run_pass(const Sequence& read, MatchMode mode,
       double row_energy = 0.0;
       const RowDecision decision = (*readouts_)[a].measure_row(
           r, masks[r], threshold, decide_rng, &row_energy);
-      result.energy_joules += row_energy;
-      result.decisions[global] = ideal_sensing_
-                                     ? masks[r].popcount() <= threshold
-                                     : decision.match;
+      out.energy_joules += row_energy;
+      if (ideal_sensing_ ? masks[r].popcount() <= threshold : decision.match)
+        out.set(global);
     }
   }
-  return result;
 }
 
 EdamFunctionalBackend::EdamFunctionalBackend(
@@ -56,29 +53,31 @@ EdamFunctionalBackend::EdamFunctionalBackend(
     std::size_t cols)
     : packed_(segments, cols), params_(params), cols_(cols) {}
 
-PassResult EdamFunctionalBackend::run_pass(const Sequence& read,
-                                           MatchMode mode,
-                                           std::size_t threshold,
-                                           const Rng& /*query_rng*/,
-                                           std::uint64_t /*pass_salt*/) const {
+void EdamFunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
+                                     std::size_t threshold,
+                                     const Rng& /*query_rng*/,
+                                     std::uint64_t /*pass_salt*/,
+                                     PassResult& out) const {
   if (read.size() != cols_)
     throw std::invalid_argument("EdamFunctionalBackend: read width mismatch");
   // Read-derived work once per (read, rotation), then one SIMD-dispatched
-  // block sweep over the whole packed segment matrix.
-  const PackedReadView view(read);
-  std::vector<std::uint32_t> counts(packed_.rows());
+  // block sweep over the whole packed segment matrix into per-thread
+  // count scratch.
+  const PackedReadView view(read, mode != MatchMode::Hamming);
+  const std::size_t rows = packed_.rows();
+  thread_local std::vector<std::uint32_t> counts;
+  if (counts.size() < rows) counts.resize(rows);
   const KernelOps& ops = active_kernel_ops();
   (mode == MatchMode::Hamming ? ops.hamming_block : ops.ed_star_block)(
-      packed_.data(), packed_.rows(), view, counts.data());
+      packed_.data(), rows, view, counts.data());
 
-  PassResult result;
-  result.decisions.assign(packed_.rows(), false);
-  for (std::size_t g = 0; g < packed_.rows(); ++g) {
-    result.decisions[g] = counts[g] <= threshold;
-    result.energy_joules +=
-        current_row_search_energy(counts[g], cols_, params_);
+  // Energy stays a per-row sum in row order: that is what keeps it
+  // bit-identical to EdamCircuitBackend's row-by-row readout.
+  out.reset(rows);
+  for (std::size_t g = 0; g < rows; ++g) {
+    if (counts[g] <= threshold) out.set(g);
+    out.energy_joules += current_row_search_energy(counts[g], cols_, params_);
   }
-  return result;
 }
 
 }  // namespace asmcap

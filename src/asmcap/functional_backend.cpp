@@ -6,19 +6,6 @@
 
 namespace asmcap {
 
-namespace {
-
-/// Nominal (mismatch-free silicon) charge-domain search energy of one row:
-/// paper Eq. 1 with M = 1 and every capacitor at its mean.
-double nominal_row_energy(std::size_t n_mis, std::size_t n_cells,
-                          const ChargeDomainParams& charge) {
-  const double n = static_cast<double>(n_cells);
-  const double mis = static_cast<double>(n_mis);
-  return mis * (n - mis) / n * charge.cap_mean * charge.vdd * charge.vdd;
-}
-
-}  // namespace
-
 FunctionalBackend::FunctionalBackend(const AsmcapConfig& config,
                                      const LiveDirectory& directory)
     : dir_(&directory),
@@ -43,35 +30,53 @@ void FunctionalBackend::write_slot(std::size_t slot,
             words_.begin() + slot * words_per_row_);
 }
 
-PassResult FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
-                                       std::size_t threshold,
-                                       const Rng& /*query_rng*/,
-                                       std::uint64_t /*pass_salt*/) const {
+void FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
+                                 std::size_t threshold,
+                                 const Rng& /*query_rng*/,
+                                 std::uint64_t /*pass_salt*/,
+                                 PassResult& out) const {
   if (read.size() != cols_)
     throw std::invalid_argument("FunctionalBackend: read width mismatch");
   // Read-derived work once per (read, rotation), then one SIMD-dispatched
   // block sweep over the whole packed slot matrix (tombstoned slots are
-  // counted too — cheaper than scattering — and masked below).
-  const PackedReadView view(read);
-  std::vector<std::uint32_t> counts(rows_);
+  // counted too — cheaper than scattering — and masked below). The
+  // Hamming kernels read only the packed read, so their view skips the
+  // neighbour alignments.
+  const PackedReadView view(read, mode != MatchMode::Hamming);
+  thread_local std::vector<std::uint32_t> counts;
+  if (counts.size() < rows_) counts.resize(rows_);
   const KernelOps& ops = active_kernel_ops();
   (mode == MatchMode::Hamming ? ops.hamming_block : ops.ed_star_block)(
       words_.data(), rows_, view, counts.data());
 
-  PassResult result;
-  result.decisions.assign(rows_, false);
+  // Decisions a word at a time, masked by the live words; matchline
+  // energy as the exact integer sum of k(n-k) over live rows.
+  out.reset(rows_);
+  const std::uint64_t n = cols_;
+  std::uint64_t mismatch_products = 0;
+  for (std::size_t w = 0; w < out.words.size(); ++w) {
+    const std::uint64_t live = dir_->live_word(w);
+    if (live == 0) continue;
+    const std::size_t first = w * 64;
+    const std::size_t lanes = std::min<std::size_t>(64, rows_ - first);
+    const std::uint32_t* row_counts = counts.data() + first;
+    std::uint64_t hits = 0;
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const std::uint64_t k = row_counts[j];
+      const std::uint64_t alive = 0 - ((live >> j) & 1U);  // all ones if live
+      hits |= static_cast<std::uint64_t>(k <= threshold) << j;
+      mismatch_products += (k * (n - k)) & alive;
+    }
+    out.words[w] = hits & live;
+  }
   // Every array holding at least one live row drives its search lines once
   // per pass, whichever backend evaluates the rows; all-dead arrays are
   // never driven (same SL gating as the circuit path).
-  result.energy_joules = static_cast<double>(dir_->arrays_in_use()) *
-                         sl_params_.energy_per_base *
-                         static_cast<double>(cols_);
-  for (std::size_t slot = 0; slot < rows_; ++slot) {
-    if (!dir_->slot_live(slot)) continue;
-    result.decisions[slot] = counts[slot] <= threshold;
-    result.energy_joules += nominal_row_energy(counts[slot], cols_, charge_);
-  }
-  return result;
+  out.energy_joules =
+      static_cast<double>(dir_->arrays_in_use()) * sl_params_.energy_per_base *
+          static_cast<double>(cols_) +
+      static_cast<double>(mismatch_products) / static_cast<double>(cols_) *
+          charge_.cap_mean * charge_.vdd * charge_.vdd;
 }
 
 }  // namespace asmcap

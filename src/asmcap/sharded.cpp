@@ -362,18 +362,20 @@ QueryResult ShardedAccelerator::merge_subset(
     const std::vector<std::uint32_t>& shard_ids) const {
   QueryResult merged;
   merged.plan = partials.front().plan;
-  merged.decisions.assign(db.id_space, false);
   const std::uint64_t base =
       static_cast<std::uint64_t>(config_.segment_base);
+  std::size_t matches = 0;
+  for (const QueryResult& part : partials)
+    matches += part.matched_segments.size();
+  merged.matched_segments.reserve(matches);
   for (std::size_t j = 0; j < shard_ids.size(); ++j) {
     const QueryResult& part = partials[j];
-    // Bank results are slot-indexed: scatter them into the global id
-    // space through the bank's directory (ids are disjoint across banks).
+    // Bank results are slot-indexed: map each bank's matched slots to
+    // global ids through its directory (ids are disjoint across banks).
     const LiveDirectory& dir = db.banks[shard_ids[j]]->directory();
-    for (std::size_t slot = 0; slot < part.decisions.size(); ++slot)
-      if (part.decisions[slot])
-        merged.decisions[static_cast<std::size_t>(dir.ids[slot] - base)] =
-            true;
+    for (const std::size_t slot : part.matched_segments)
+      merged.matched_segments.push_back(
+          static_cast<std::size_t>(dir.ids[slot] - base));
     // Banks search in parallel: a pass completes when the slowest bank
     // does; energy is spent in every dispatched bank (ascending shard
     // order keeps the floating-point summation deterministic).
@@ -381,8 +383,12 @@ QueryResult ShardedAccelerator::merge_subset(
         std::max(merged.latency_seconds, part.latency_seconds);
     merged.energy_joules += part.energy_joules;
   }
-  for (std::size_t g = 0; g < merged.decisions.size(); ++g)
-    if (merged.decisions[g]) merged.matched_segments.push_back(g);
+  // Sorting the matches costs what the matches cost; the dense bitmap is
+  // zero-filled and only its matched bits are set.
+  std::sort(merged.matched_segments.begin(), merged.matched_segments.end());
+  merged.decisions.assign(db.id_space, false);
+  for (const std::size_t id : merged.matched_segments)
+    merged.decisions[id] = true;
   return merged;
 }
 

@@ -41,8 +41,10 @@
 // by tests/test_live.cpp).
 //
 // Per-shard results are slot-indexed at the bank boundary and merged
-// through each bank's LiveDirectory into the global id space: decisions
-// scatter into the global bitmap (ids are disjoint across banks), latency
+// through each bank's LiveDirectory into the global id space: each bank's
+// matched slots map to global ids, which are sorted and set in the global
+// bitmap (ids are disjoint across banks) — a merge costs the matches, not
+// the width of the id space, however much churn has grown it — latency
 // is the max over shards for a pass (banks search in parallel), energy is
 // the sum in ascending shard order, and the router's ledger records the
 // merged totals.
@@ -282,8 +284,11 @@ class ShardedAccelerator {
                                           const ExecutionPlan& plan) const;
   /// Merges the partial results of the dispatched shards (partials[j] is
   /// shard shard_ids[j]'s slot-indexed result) into one global result:
-  /// decisions scatter through each bank's LiveDirectory, latency = max,
-  /// energy = sum in ascending shard order. `partials` must be non-empty.
+  /// each bank's matched slots map through its LiveDirectory to global
+  /// ids, which are sorted and then set in the id-space bitmap; latency =
+  /// max, energy = sum in ascending shard order. The cost follows the
+  /// match count, not the id space (beyond zero-filling the bitmap).
+  /// `partials` must be non-empty.
   QueryResult merge_subset(const DbEpoch& db,
                            const std::vector<QueryResult>& partials,
                            const std::vector<std::uint32_t>& shard_ids) const;

@@ -1,7 +1,9 @@
 #include "genome/stream_reader.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <istream>
+#include <string_view>
 #include <utility>
 
 #include "genome/fasta.h"
@@ -47,20 +49,42 @@ struct SeqStreamReader::ByteSource {
   virtual std::size_t read(char* out, std::size_t n) = 0;
 };
 
+/// A stdio file (or stdin). The first bytes may be sniffed with peek()
+/// without seeking: they stay queued and read() returns them first, so a
+/// pipe loses nothing.
 struct SeqStreamReader::FileSource : SeqStreamReader::ByteSource {
-  FileSource(std::FILE* file, std::string path)
-      : file_(file), path_(std::move(path)) {}
+  FileSource(std::FILE* file, std::string name, bool owned)
+      : file_(file), name_(std::move(name)), owned_(owned) {}
   ~FileSource() override {
-    if (file_ != nullptr) std::fclose(file_);
+    if (owned_) std::fclose(file_);
+  }
+  /// The first `n` bytes of the input (fewer at end of input), queued for
+  /// read(). Only valid before the first read().
+  std::string_view peek(std::size_t n) {
+    queued_.resize(n);
+    queued_.resize(fread_checked(queued_.data(), n));
+    return queued_;
   }
   std::size_t read(char* out, std::size_t n) override {
+    if (queued_pos_ < queued_.size()) {
+      const std::size_t take = std::min(n, queued_.size() - queued_pos_);
+      std::copy_n(queued_.data() + queued_pos_, take, out);
+      queued_pos_ += take;
+      return take;
+    }
+    return fread_checked(out, n);
+  }
+  std::size_t fread_checked(char* out, std::size_t n) {
     const std::size_t got = std::fread(out, 1, n, file_);
     if (got < n && std::ferror(file_) != 0)
-      throw std::runtime_error("I/O error reading " + path_);
+      throw std::runtime_error("I/O error reading " + name_);
     return got;
   }
   std::FILE* file_;
-  std::string path_;
+  std::string name_;
+  bool owned_;
+  std::string queued_;
+  std::size_t queued_pos_ = 0;
 };
 
 struct SeqStreamReader::IstreamSource : SeqStreamReader::ByteSource {
@@ -74,51 +98,84 @@ struct SeqStreamReader::IstreamSource : SeqStreamReader::ByteSource {
 };
 
 #ifdef ASMCAP_HAVE_ZLIB
+/// Inflates a gzip stream pulled from another source — the one already
+/// open, so pipes work and nothing is reopened by path. Concatenated gzip
+/// members decompress as one stream and bytes after the last member are
+/// ignored, as gzip -d and gzread do; a member cut short is an error.
 struct SeqStreamReader::GzipSource : SeqStreamReader::ByteSource {
-  GzipSource(gzFile file, std::string path)
-      : file_(file), path_(std::move(path)) {}
-  ~GzipSource() override {
-    if (file_ != nullptr) gzclose(file_);
+  GzipSource(std::unique_ptr<ByteSource> raw, std::string name)
+      : raw_(std::move(raw)), name_(std::move(name)), in_(kBufferSize) {
+    // 16 + MAX_WBITS: expect the gzip wrapper (header + CRC trailer).
+    if (inflateInit2(&z_, 16 + MAX_WBITS) != Z_OK)
+      throw std::runtime_error("cannot initialise zlib for " + name_);
   }
+  ~GzipSource() override { inflateEnd(&z_); }
   std::size_t read(char* out, std::size_t n) override {
-    const int got = gzread(file_, out, static_cast<unsigned>(n));
-    if (got < 0) {
-      int errnum = 0;
-      const char* message = gzerror(file_, &errnum);
-      throw std::runtime_error("gzip error reading " + path_ + ": " +
-                               (message != nullptr ? message : "?"));
+    z_.next_out = reinterpret_cast<Bytef*>(out);
+    z_.avail_out = static_cast<uInt>(n);
+    while (z_.avail_out == n && !done_) {
+      if (z_.avail_in == 0) {
+        const std::size_t got = raw_->read(
+            reinterpret_cast<char*>(in_.data()), in_.size());
+        if (got == 0) {
+          if (in_member_)
+            throw std::runtime_error("truncated gzip input: " + name_);
+          done_ = true;
+          break;
+        }
+        z_.next_in = in_.data();
+        z_.avail_in = static_cast<uInt>(got);
+      }
+      const int rc = inflate(&z_, Z_NO_FLUSH);
+      if (rc == Z_STREAM_END) {
+        in_member_ = false;
+        ++members_;
+        inflateReset(&z_);
+      } else if (rc == Z_OK || rc == Z_BUF_ERROR) {
+        in_member_ = true;
+      } else if (members_ != 0 && !in_member_) {
+        done_ = true;  // Trailing non-gzip bytes after the last member.
+      } else {
+        throw std::runtime_error(
+            "gzip error reading " + name_ + ": " +
+            (z_.msg != nullptr ? z_.msg : "corrupt data"));
+      }
     }
-    return static_cast<std::size_t>(got);
+    return n - z_.avail_out;
   }
-  gzFile file_;
-  std::string path_;
+  std::unique_ptr<ByteSource> raw_;
+  std::string name_;
+  std::vector<unsigned char> in_;
+  z_stream z_{};
+  bool in_member_ = false;
+  bool done_ = false;
+  std::size_t members_ = 0;
 };
 #endif
 
 // ---------------------------------------------------------------- reader --
 
-SeqStreamReader::SeqStreamReader(const std::string& path) : name_(path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
+SeqStreamReader::SeqStreamReader(const std::string& path)
+    : name_(path == "-" ? "<stdin>" : path) {
+  const bool from_stdin = path == "-";
+  std::FILE* file = from_stdin ? stdin : std::fopen(path.c_str(), "rb");
   if (file == nullptr)
     throw std::runtime_error("cannot open sequence file: " + path);
-  unsigned char magic[2] = {0, 0};
-  const std::size_t got = std::fread(magic, 1, 2, file);
-  const bool gzipped = got == 2 && magic[0] == 0x1F && magic[1] == 0x8B;
+  auto raw = std::make_unique<FileSource>(file, name_, !from_stdin);
+  // Sniff the gzip magic without seeking — a pipe cannot rewind — so the
+  // sniffed bytes stay queued in the source.
+  const std::string_view magic = raw->peek(2);
+  const bool gzipped = magic == std::string_view("\x1F\x8B", 2);
   if (gzipped) {
-    std::fclose(file);
 #ifdef ASMCAP_HAVE_ZLIB
-    gzFile gz = gzopen(path.c_str(), "rb");
-    if (gz == nullptr)
-      throw std::runtime_error("cannot open gzip sequence file: " + path);
-    source_ = std::make_unique<GzipSource>(gz, path);
+    source_ = std::make_unique<GzipSource>(std::move(raw), name_);
 #else
     throw std::runtime_error("gzip-compressed input but this build has no "
                              "zlib (decompress first): " +
-                             path);
+                             name_);
 #endif
   } else {
-    std::rewind(file);
-    source_ = std::make_unique<FileSource>(file, path);
+    source_ = std::move(raw);
   }
   buffer_.resize(kBufferSize);
 }

@@ -9,9 +9,12 @@
 //   while (reader.next(record)) consume(record);
 //
 // The format is auto-detected from the first non-blank byte ('>' FASTA,
-// '@' FASTQ); gzip-compressed files are transparently decompressed when
+// '@' FASTQ); gzip-compressed input is transparently decompressed when
 // the build found zlib (ASMCAP_HAVE_ZLIB, see CMakeLists.txt) and
-// rejected with a clear error otherwise. The parser accepts multi-line
+// rejected with a clear error otherwise. The path may be a pipe, a FIFO,
+// /dev/stdin or "-" (stdin): the gzip magic is sniffed without seeking
+// and the sniffed bytes are replayed, and gzip data is inflated from the
+// already-open stream. The parser accepts multi-line
 // (wrapped) FASTA sequence data, tolerates CRLF line endings and blank
 // lines between records, and reports malformed input as StreamParseError
 // carrying the 1-based line number of the offending line.
@@ -23,9 +26,9 @@
 // in ambiguous_bases() so callers can warn (tests/test_stream_reader.cpp
 // round-trips through write_fasta/write_fastq to pin the parity down).
 //
-// Ownership: the path constructor owns the underlying file/gzip handle;
-// the istream constructor borrows the stream, which must outlive the
-// reader. Thread-safety: a reader is a single-consumer cursor — all
+// Ownership: the path constructor owns the underlying file handle (stdin
+// for "-" is borrowed, never closed); the istream constructor borrows the
+// stream, which must outlive the reader. Thread-safety: a reader is a single-consumer cursor — all
 // methods belong to one thread at a time (confine a reader to the
 // ingestion thread; hand the records off, not the reader). Reentrancy:
 // nothing here blocks on a pool or calls back into user code.
@@ -69,9 +72,11 @@ class StreamParseError : public std::runtime_error {
 
 class SeqStreamReader {
  public:
-  /// Opens a file, auto-detecting gzip from the magic bytes (requires
-  /// zlib in the build; throws std::runtime_error otherwise, and when the
-  /// file cannot be opened).
+  /// Opens a file, or stdin when `path` is "-" (named "<stdin>" in
+  /// errors), auto-detecting gzip from the magic bytes (requires zlib in
+  /// the build; throws std::runtime_error otherwise, and when the file
+  /// cannot be opened). Regular files and pipes alike are read once,
+  /// front to back.
   explicit SeqStreamReader(const std::string& path);
 
   /// Streams from a borrowed istream (no gzip auto-detection); `name` is

@@ -2,17 +2,25 @@
 // pipeline built on it (asmcap/ingest.h): parity with the whole-file
 // readers, chunked reassembly identity, malformed-input line numbers, and
 // the CLI-path bit-identity gate — streamed ingest + service pump decides
-// exactly like load_reference + search_batch.
+// exactly like load_reference + search_batch — and non-seekable input
+// (FIFOs standing in for stdin pipes), plain and gzip.
 
 #include "genome/stream_reader.h"
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
+#endif
 
 #ifdef ASMCAP_HAVE_ZLIB
 #include <zlib.h>
@@ -293,6 +301,140 @@ TEST(StreamReader, GzipRoundTripByMagicDetection) {
   std::remove(path.c_str());
 }
 #endif
+
+// ----------------------------------------------------------------- pipes --
+//
+// A FIFO is a pipe with a path: the reader cannot seek it, exactly like
+// `--reads -` fed by `cat reads.fq |`. Every test compares the pipe
+// stream against the same bytes parsed from memory.
+
+#if defined(__unix__) || defined(__APPLE__)
+
+/// Streams `bytes` through a fresh FIFO (written by a helper thread) and
+/// returns the records, or rethrows the reader's error after the writer
+/// finishes. SIGPIPE is ignored so a reader that stops early turns the
+/// writer's remaining writes into errors instead of killing the process.
+std::vector<SeqRecord> stream_through_fifo(const std::string& name,
+                                           const std::string& bytes) {
+  std::signal(SIGPIPE, SIG_IGN);
+  const std::string path = testing::TempDir() + name;
+  std::remove(path.c_str());
+  if (mkfifo(path.c_str(), 0600) != 0)
+    throw std::runtime_error("mkfifo failed: " + path);
+  std::thread writer([&path, &bytes] {
+    std::FILE* out = std::fopen(path.c_str(), "wb");
+    if (out == nullptr) return;
+    std::fwrite(bytes.data(), 1, bytes.size(), out);
+    std::fclose(out);
+  });
+  std::vector<SeqRecord> records;
+  std::exception_ptr error;
+  try {
+    SeqStreamReader reader(path);
+    SeqRecord record;
+    while (reader.next(record)) records.push_back(record);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  writer.join();
+  std::remove(path.c_str());
+  if (error) std::rethrow_exception(error);
+  return records;
+}
+
+void expect_same_records(const std::vector<SeqRecord>& got,
+                         const std::vector<SeqRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "record " << i;
+    EXPECT_EQ(got[i].comment, want[i].comment) << "record " << i;
+    EXPECT_EQ(got[i].seq, want[i].seq) << "record " << i;
+    EXPECT_EQ(got[i].quality, want[i].quality) << "record " << i;
+  }
+}
+
+std::string sample_fasta_text() {
+  std::ostringstream image;
+  write_fasta(image, sample_fasta_records(), 50);
+  return image.str();
+}
+
+TEST(StreamReaderPipe, FastaThroughFifoKeepsFirstBytes) {
+  const std::string text = sample_fasta_text();
+  expect_same_records(stream_through_fifo("pipe.fa", text),
+                      stream_all(text));
+}
+
+TEST(StreamReaderPipe, FastqThroughFifoKeepsFirstBytes) {
+  Rng rng(0xF1F0);
+  std::vector<FastqRecord> records(4);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].id = "read" + std::to_string(i);
+    records[i].seq = generate_reference(40 + 7 * i, {}, rng);
+    records[i].quality.assign(records[i].seq.size(), 'I');
+  }
+  std::ostringstream image;
+  write_fastq(image, records);
+  const std::string text = image.str();
+  const auto piped = stream_through_fifo("pipe.fq", text);
+  expect_same_records(piped, stream_all(text));
+  EXPECT_EQ(piped.size(), records.size());
+}
+
+TEST(StreamReaderPipe, OneByteInputThroughFifo) {
+  // Shorter than the two-byte gzip sniff: the byte must still reach the
+  // parser (and fail there, with its line number).
+  try {
+    stream_through_fifo("pipe_short.fa", "x");
+    FAIL() << "expected a StreamParseError";
+  } catch (const StreamParseError& error) {
+    EXPECT_EQ(error.line(), 1u);
+  }
+}
+
+#ifdef ASMCAP_HAVE_ZLIB
+/// gzip-compresses `text` in memory as one member.
+std::string gzip_member(const std::string& text) {
+  z_stream z{};
+  if (deflateInit2(&z, Z_DEFAULT_COMPRESSION, Z_DEFLATED, 16 + MAX_WBITS, 8,
+                   Z_DEFAULT_STRATEGY) != Z_OK)
+    throw std::runtime_error("deflateInit2 failed");
+  std::string out(deflateBound(&z, static_cast<uLong>(text.size())), '\0');
+  z.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(text.data()));
+  z.avail_in = static_cast<uInt>(text.size());
+  z.next_out = reinterpret_cast<Bytef*>(out.data());
+  z.avail_out = static_cast<uInt>(out.size());
+  const int rc = deflate(&z, Z_FINISH);
+  out.resize(z.total_out);
+  deflateEnd(&z);
+  if (rc != Z_STREAM_END) throw std::runtime_error("deflate failed");
+  return out;
+}
+
+TEST(StreamReaderPipe, GzipThroughFifoDecompressesOpenStream) {
+  const std::string text = sample_fasta_text();
+  expect_same_records(stream_through_fifo("pipe.fa.gz", gzip_member(text)),
+                      stream_all(text));
+}
+
+TEST(StreamReaderPipe, ConcatenatedGzipMembersReadAsOneStream) {
+  const std::string text = sample_fasta_text();
+  const std::size_t cut = text.find('>', 1);  // Second record's header.
+  const std::string two_members =
+      gzip_member(text.substr(0, cut)) + gzip_member(text.substr(cut));
+  expect_same_records(stream_through_fifo("pipe2.fa.gz", two_members),
+                      stream_all(text));
+}
+
+TEST(StreamReaderPipe, TruncatedGzipIsAnError) {
+  const std::string member = gzip_member(sample_fasta_text());
+  EXPECT_THROW(
+      stream_through_fifo("pipe_cut.fa.gz", member.substr(0, member.size() / 2)),
+      std::runtime_error);
+}
+#endif  // ASMCAP_HAVE_ZLIB
+
+#endif  // POSIX FIFOs
 
 // ---------------------------------------------------------------- ingest --
 

@@ -70,8 +70,10 @@ void print_usage(std::ostream& out) {
          "FASTA, one TSV/JSON result line per read. Full guide: docs/cli.md.\n"
          "\n"
          "required:\n"
-         "  --reference PATH   reference FASTA (gzip ok when built with zlib)\n"
-         "  --reads PATH       reads, FASTA or FASTQ (auto-detected; gzip ok)\n"
+         "  --reference PATH   reference FASTA (gzip ok when built with zlib;\n"
+         "                     '-' reads stdin)\n"
+         "  --reads PATH       reads, FASTA or FASTQ (auto-detected; gzip ok;\n"
+         "                     '-' reads stdin, e.g. from a pipe)\n"
          "options:\n"
          "  --threshold N      match threshold T in bases (default 12)\n"
          "  --mode M           full | baseline | hdac | tasr (default full)\n"
@@ -204,6 +206,8 @@ CliOptions parse_args(int argc, char** argv) {
   }
   if (options.reference.empty()) usage_error("--reference is required");
   if (options.reads.empty()) usage_error("--reads is required");
+  if (options.reference == "-" && options.reads == "-")
+    usage_error("--reference and --reads cannot both read stdin ('-')");
   return options;
 }
 

@@ -59,6 +59,20 @@ if ! diff -u "$GOLDEN" "$WORK/out.cut.tsv"; then
   exit 1
 fi
 
+# Pipe input: the same reads fed through stdin ('--reads -') must decide
+# exactly like the file run (a pipe cannot be rewound, so this gates the
+# reader's seek-free format and gzip sniffing).
+cat "$WORK/reads.fq" | "$SEARCH" \
+  --reference "$WORK/ref.fa" --reads - \
+  --width 128 --array-rows 64 --arrays 4 --shards 2 \
+  --threshold 12 --workers 2 --chunk 8 \
+  --output "$WORK/pipe.tsv" 2>> "$WORK/search.log"
+cut -f1-4 "$WORK/pipe.tsv" > "$WORK/pipe.cut.tsv"
+if ! diff -u "$GOLDEN" "$WORK/pipe.cut.tsv"; then
+  echo "check_e2e: FAIL — '--reads -' (stdin pipe) diverges from $GOLDEN" >&2
+  exit 1
+fi
+
 # The ambiguity warning (docs/cli.md N->A policy) must surface: the
 # generated read set injects 'N's via --ambiguous.
 if ! grep -q "ambiguous bases" "$WORK/search.log"; then
@@ -84,4 +98,4 @@ if grep -qv '^{' "$WORK/out.json"; then
   exit 1
 fi
 
-echo "check_e2e: OK ($READS reads, deterministic columns match golden)"
+echo "check_e2e: OK ($READS reads, deterministic columns match golden, file and stdin pipe)"
