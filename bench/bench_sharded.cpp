@@ -11,16 +11,10 @@
 //
 //   ./bench_sharded [segments] [reads] [shards] [workers] [--json <path>]
 //
-// A third arm re-runs the sharded layout with sketch-based shard pruning
-// enabled (config.pruning) and asserts its decisions are bit-identical to
-// the full fan-out; the JSON report gains prune_rate /
-// pruned_energy_savings / pruned_speedup metrics.
-//
-// Exits non-zero if decisions diverge (between layouts, or between the
-// pruned and full fan-out arms), or — when the machine actually has
-// >= `shards` hardware threads and >= 4 workers were requested — if the
-// sharded layout fails to reach 2x the monolithic single-read throughput
-// (the pruned arm gets the same 2x floor at >= 8 shards).
+// Exits non-zero if decisions diverge between the layouts, or — when the
+// machine actually has >= `shards` hardware threads and >= 4 workers were
+// requested — if the sharded layout fails to reach 2x the monolithic
+// single-read throughput.
 
 #include <algorithm>
 #include <chrono>
@@ -125,48 +119,12 @@ int main(int argc, char** argv) {
         sharded.search(read, threshold, StrategyMode::Full, workers));
   const double sharded_seconds = seconds_since(sharded_start);
 
-  // --- Pruned router: sketch probe skips banks that cannot match. ---------
-  // Same database, same read stream; decisions must be bit-identical to
-  // the full fan-out (the sketch is false-negative-free), so this arm
-  // doubles as the pruning correctness gate.
-  AsmcapConfig pruned_bank = bank;
-  pruned_bank.pruning.enabled = true;
-  ShardedAccelerator pruned(pruned_bank, shards);
-  pruned.load_reference(segments);
-  pruned.set_error_profile(sim_config.rates);
-  const auto pruned_start = Clock::now();
-  std::vector<QueryResult> pruned_results;
-  pruned_results.reserve(n_reads);
-  for (const Sequence& read : reads)
-    pruned_results.push_back(
-        pruned.search(read, threshold, StrategyMode::Full, workers));
-  const double pruned_seconds = seconds_since(pruned_start);
-
   // --- Correctness: shard-invariant decisions, re-based indices. ----------
   std::size_t divergent = 0;
   for (std::size_t i = 0; i < n_reads; ++i)
     if (sharded_results[i].decisions != mono_results[i].decisions ||
         sharded_results[i].matched_segments != mono_results[i].matched_segments)
       ++divergent;
-  std::size_t prune_divergent = 0;
-  for (std::size_t i = 0; i < n_reads; ++i)
-    if (pruned_results[i].decisions != sharded_results[i].decisions ||
-        pruned_results[i].matched_segments !=
-            sharded_results[i].matched_segments)
-      ++prune_divergent;
-
-  const ExecutionTotals& pruned_totals = pruned.totals();
-  const std::size_t probes =
-      pruned_totals.banks_probed + pruned_totals.banks_pruned;
-  const double prune_rate =
-      probes == 0 ? 0.0
-                  : static_cast<double>(pruned_totals.banks_pruned) /
-                        static_cast<double>(probes);
-  const double sharded_energy = sharded.totals().energy_joules;
-  const double pruned_energy_savings =
-      sharded_energy <= 0.0
-          ? 0.0
-          : (sharded_energy - pruned_totals.energy_joules) / sharded_energy;
 
   const double speedup = mono_seconds / sharded_seconds;
   Table table({"layout", "wall time", "reads/s", "per read"});
@@ -181,22 +139,10 @@ int main(int argc, char** argv) {
       .add_cell(format_si(static_cast<double>(n_reads) / sharded_seconds, ""))
       .add_cell(
           format_si(sharded_seconds / static_cast<double>(n_reads), "s"));
-  table.new_row()
-      .add_cell("sharded router, sketch-pruned")
-      .add_cell(format_si(pruned_seconds, "s"))
-      .add_cell(format_si(static_cast<double>(n_reads) / pruned_seconds, ""))
-      .add_cell(
-          format_si(pruned_seconds / static_cast<double>(n_reads), "s"));
   table.print(std::cout);
 
-  const double pruned_speedup = mono_seconds / pruned_seconds;
   std::printf("\nspeedup: %.1fx, decisions identical on %zu/%zu reads\n",
               speedup, n_reads - divergent, n_reads);
-  std::printf(
-      "pruned:  %.1fx, decisions identical on %zu/%zu reads, prune rate "
-      "%.0f%% (%zu/%zu bank probes skipped), energy saved %.0f%%\n",
-      pruned_speedup, n_reads - prune_divergent, n_reads, 100.0 * prune_rate,
-      pruned_totals.banks_pruned, probes, 100.0 * pruned_energy_savings);
 
   // The parallel-speedup claim needs both the fan-out width and the cores
   // to exist: enforce it only for >= 4 shards, >= 4 workers, and hardware
@@ -206,22 +152,10 @@ int main(int argc, char** argv) {
   const bool enforce_floor = shards >= 4 && workers >= 4 &&
                              ThreadPool::hardware_workers() >= shards;
 
-  // The pruning-speedup claim is only meaningful once the database is wide
-  // enough for most banks to be skippable: enforce the pruned 2x floor at
-  // >= 8 shards (with the same worker/core carve-out as above).
-  const bool enforce_pruned_floor = shards >= 8 && workers >= 4 &&
-                                    ThreadPool::hardware_workers() >= shards;
-
   if (!json_path.empty()) {
-    // Digests of the full fan-out and the pruned run are computed (and
-    // gated) separately: baseline.json pins one digest value, and the
-    // pruned arm must reproduce it bit-for-bit.
     DecisionDigest digest;
     for (const QueryResult& result : sharded_results)
       for (const bool decision : result.decisions) digest.add(decision);
-    DecisionDigest pruned_digest;
-    for (const QueryResult& result : pruned_results)
-      for (const bool decision : result.decisions) pruned_digest.add(decision);
     BenchReport report;
     report.bench = "bench_sharded";
     report.kernel_tier = to_string(active_kernel_tier());
@@ -234,15 +168,7 @@ int main(int argc, char** argv) {
     report.timings = {{"monolithic-serial-scan", mono_seconds,
                        static_cast<double>(n_reads) / mono_seconds},
                       {"sharded-router", sharded_seconds,
-                       static_cast<double>(n_reads) / sharded_seconds},
-                      {"sharded-router-pruned", pruned_seconds,
-                       static_cast<double>(n_reads) / pruned_seconds}};
-    report.metrics = {
-        {"prune_rate", prune_rate},
-        {"pruned_energy_savings", pruned_energy_savings},
-        {"pruned_speedup", pruned_speedup},
-        {"pruned_digest_matches",
-         pruned_digest.value() == digest.value() ? 1.0 : 0.0}};
+                       static_cast<double>(n_reads) / sharded_seconds}};
     report.speedup = speedup;
     report.decision_digest = digest.value();
     report.floor_enforced = enforce_floor;
@@ -252,13 +178,6 @@ int main(int argc, char** argv) {
   if (divergent != 0) {
     std::fprintf(stderr, "FAIL: %zu reads diverged between layouts\n",
                  divergent);
-    return 1;
-  }
-  if (prune_divergent != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %zu reads diverged between pruned and full "
-                 "fan-out\n",
-                 prune_divergent);
     return 1;
   }
   if (enforce_floor) {
@@ -273,12 +192,6 @@ int main(int argc, char** argv) {
         "(speedup floor not enforced: %zu workers requested, %zu hardware "
         "threads)\n",
         workers, ThreadPool::hardware_workers());
-  }
-  if (enforce_pruned_floor && pruned_speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: pruned speedup %.2fx below the 2x floor\n",
-                 pruned_speedup);
-    return 1;
   }
   return 0;
 }

@@ -38,8 +38,6 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
   circuit_backend_ =
       std::make_unique<CircuitBackend>(units_, dir_, config_.array_rows);
   functional_backend_ = std::make_unique<FunctionalBackend>(config_, dir_);
-  if (config_.pruning.enabled)
-    sketch_ = std::make_unique<BankSketch>(config_.array_cols);
 }
 
 void AsmcapAccelerator::ensure_units(std::size_t arrays) {
@@ -73,7 +71,6 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
   Rng silicon = silicon_root_.fork(id);
   units_[a].write_row(r, segment, silicon);
   functional_backend_->write_slot(slot, segment);
-  if (sketch_) sketch_->set_row(slot, segment);
   dir_.ids[slot] = id;
   dir_.set_live(slot, true);
   ++dir_.array_live[a];
@@ -184,7 +181,6 @@ void AsmcapAccelerator::remove_segments(
     const std::size_t a = slot / config_.array_rows;
     const std::size_t r = slot % config_.array_rows;
     units_[a].invalidate_row(r);  // all-mismatch mask: zero search energy
-    if (sketch_) sketch_->clear_row(slot);
     dir_.set_live(slot, false);
     --dir_.array_live[a];
     --dir_.live_count;

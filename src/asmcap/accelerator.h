@@ -47,7 +47,6 @@
 #include "asmcap/controller.h"
 #include "asmcap/db_error.h"
 #include "asmcap/planner.h"
-#include "asmcap/sketch.h"
 #include "circuit/timing.h"
 #include "genome/edits.h"
 #include "genome/sequence.h"
@@ -195,17 +194,14 @@ class AsmcapAccelerator {
   Controller& controller() { return controller_; }
   const QueryPlanner& planner() const { return controller_.planner(); }
   const TimingModel& timing() const { return timing_; }
-  /// The bank's pruning sketch, maintained across mutations when
-  /// config().pruning.enabled; nullptr otherwise.
-  const BankSketch* sketch() const { return sketch_.get(); }
 
  private:
   void check_read(const Sequence& read) const;
   void check_loaded() const;
   void ensure_units(std::size_t arrays);
   /// The shared write path: stores (id, segment) at `slot`, re-manufactures
-  /// the row's silicon from the per-id stream, and updates the directory,
-  /// the packed functional row, and the sketch. No cost accounting.
+  /// the row's silicon from the per-id stream, and updates the directory
+  /// and the packed functional row. No cost accounting.
   void write_slot(std::size_t slot, std::uint64_t id,
                   const Sequence& segment);
   /// Converts a slot-indexed execute() result into the id-indexed shape
@@ -228,7 +224,6 @@ class AsmcapAccelerator {
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
   std::unique_ptr<CircuitBackend> circuit_backend_;
   std::unique_ptr<FunctionalBackend> functional_backend_;
-  std::unique_ptr<BankSketch> sketch_;
   BackendKind backend_kind_ = BackendKind::Circuit;
   std::uint64_t next_auto_id_;
   bool identity_layout_ = true;

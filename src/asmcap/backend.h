@@ -62,7 +62,6 @@
 #include "align/kernels.h"
 #include "asmcap/array_unit.h"
 #include "asmcap/config.h"
-#include "asmcap/mapper.h"
 #include "cam/array.h"
 #include "cam/current_readout.h"
 #include "cam/periphery.h"

@@ -38,16 +38,7 @@ struct TasrParams {
   RotateDir direction = RotateDir::Both;
 };
 
-/// Sketch-based shard pruning (src/asmcap/sketch.h): when enabled, every
-/// bank builds a positional base-occurrence sketch at load_reference time
-/// and the sharded router skips banks that provably cannot contain a hit
-/// at the query's threshold. Decisions stay bit-identical to full fan-out
-/// (skipped banks contribute no RNG draws by construction); energy drops
-/// by exactly the skipped banks' share. There is deliberately NO k-mer
-/// length knob: a shared-k-mer filter is unsound for ED* (each cell
-/// independently picks a +/-1 neighbour, so an ED* = 0 row may share no
-/// k-mer with the read) — the window count is derived from the threshold
-/// and, on the noisy circuit path, the bounded-noise margin instead.
+/// Inert: nothing reads it; kept only because perfbench/probe.cpp sets it.
 struct PruningParams {
   bool enabled = false;
 };
@@ -76,7 +67,7 @@ struct AsmcapConfig {
   TasrParams tasr;
   /// Bypass analog noise entirely (functional-simulation mode).
   bool ideal_sensing = false;
-  /// Router-level shard pruning (banks build sketches at load time).
+  /// Inert (see PruningParams): every read goes to every bank.
   PruningParams pruning;
   std::uint64_t seed = 0xA5A5'5A5A'C0FF'EE00ULL;
   /// Seed of the manufactured-silicon stream; 0 means "use `seed`". Every

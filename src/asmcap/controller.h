@@ -16,10 +16,9 @@ struct ExecutionTotals {
   std::size_t searches = 0;
   std::size_t hd_searches = 0;
   std::size_t rotation_searches = 0;
-  /// Sketch-probe outcomes (sharded router with pruning enabled only):
-  /// banks actually searched vs banks skipped because their sketch proved
-  /// no hit was possible. probed + pruned = active shards x queries.
+  /// Never written (always 0); its only reader is perfbench/probe.cpp.
   std::size_t banks_probed = 0;
+  /// Never written (always 0); its only reader is perfbench/probe.cpp.
   std::size_t banks_pruned = 0;
   double latency_seconds = 0.0;
   double energy_joules = 0.0;
@@ -39,12 +38,6 @@ class Controller {
   /// Records a completed query in the ledger.
   void record(const QueryPlan& plan, double latency_seconds,
               double energy_joules);
-
-  /// Records one query's sketch-probe outcome (router pruning path).
-  void record_pruning(std::size_t probed, std::size_t pruned) {
-    totals_.banks_probed += probed;
-    totals_.banks_pruned += pruned;
-  }
 
   const ExecutionTotals& totals() const { return totals_; }
   void reset_totals() { totals_ = {}; }

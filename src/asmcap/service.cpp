@@ -241,9 +241,6 @@ void SearchTicket::wait() {
           static_cast<std::uint8_t>(ReadOutcome::Done)) {
         accel_->controller_.record(slot.ledger_plan, slot.ledger_latency,
                                    slot.ledger_energy);
-        if (slot.banks_probed + slot.banks_pruned != 0)
-          accel_->controller_.record_pruning(slot.banks_probed,
-                                             slot.banks_pruned);
       }
     recorded_ = true;
   }
@@ -483,43 +480,26 @@ void SearchTicket::run_read(std::size_t i) {
     abort_slot(i, static_cast<ReadOutcome>(cause), /*counts_in_flight=*/true);
     return;
   }
-  std::size_t selected = 0;
+  const std::size_t shards = db_->banks.size();
   try {
     // Same deterministic recipe as the synchronous batch: one plan per
     // read, one RNG stream forked from (master state, epoch, read index).
-    // The probe happens AFTER the fork, so pruning never shifts streams.
     slot.plan = accel_->controller_.planner().build(
         (*reads_)[i], threshold_, accel_->rates_, mode_);
     slot.rng = master_.fork((epoch_ << 32) | static_cast<std::uint64_t>(i));
-    slot.shard_ids = accel_->probe_shards(*db_, slot.plan);
-    selected = slot.shard_ids.size();
-    if (accel_->config_.pruning.enabled) {
-      slot.banks_probed = selected;
-      slot.banks_pruned = db_->banks.size() - selected;
-    }
-    if (selected == 0) {
-      // Every bank pruned: nothing executes, but the read still merges to
-      // its deterministic all-false shape with the plan's pass latency.
-      slot.merged = accel_->empty_result(*db_, slot.plan);
-      slot.t_executed = clock_->now();
-      complete_read(i, ReadOutcome::Done);
-      return;
-    }
-    if (selected == 1 && db_->banks.size() == 1 &&
-        db_->banks[0]->identity_layout() &&
+    if (shards == 1 && db_->banks[0]->identity_layout() &&
         db_->banks[0]->loaded_segments() == db_->id_space) {
       // Single-bank router with the identity layout (slot s holds global
       // id s — always true frozen): the bank's slot-indexed result is
       // already the global result — no partial staging, no rebase/merge.
-      // (A read pruned down to ONE bank of many still stages, and a
-      // mutated single bank must rebase through its directory.)
+      // (A mutated single bank must rebase through its directory.)
       slot.merged = db_->banks[0]->execute(slot.plan, slot.rng);
       slot.t_executed = clock_->now();
       complete_read(i, ReadOutcome::Done);
       return;
     }
-    slot.partials.resize(selected);
-    slot.shards_left.store(selected, std::memory_order_relaxed);
+    slot.partials.resize(shards);
+    slot.shards_left.store(shards, std::memory_order_relaxed);
   } catch (...) {
     record_error(std::current_exception());
     complete_read(i, ReadOutcome::Failed);
@@ -527,9 +507,9 @@ void SearchTicket::run_read(std::size_t i) {
   }
   std::size_t launched = 0;
   try {
-    for (std::size_t j = 1; j < selected; ++j) {
+    for (std::size_t s = 1; s < shards; ++s) {
       auto self = shared_from_this();
-      pool_->submit([self, i, j] { self->run_shard(i, j); }, task_priority_);
+      pool_->submit([self, i, s] { self->run_shard(i, s); }, task_priority_);
       ++launched;
     }
   } catch (...) {
@@ -539,15 +519,13 @@ void SearchTicket::run_read(std::size_t i) {
     record_error(std::current_exception());
     slot.outcome.store(static_cast<std::uint8_t>(ReadOutcome::Failed),
                        std::memory_order_release);
-    slot.shards_left.fetch_sub(selected - 1 - launched,
+    slot.shards_left.fetch_sub(shards - 1 - launched,
                                std::memory_order_acq_rel);
   }
   run_shard(i, 0);  // this task doubles as the first shard's executor
 }
 
 void SearchTicket::run_shard(std::size_t i, std::size_t s) {
-  // `s` indexes the slot's dispatched-shard list, not the bank array: the
-  // read runs only on its probe survivors.
   Slot& slot = slots_[i];
   // Cooperative cancel/deadline check at the shard-task boundary: once
   // the ticket is aborted, remaining shards skip their execute entirely
@@ -556,8 +534,7 @@ void SearchTicket::run_shard(std::size_t i, std::size_t s) {
     abort_ticket(ReadOutcome::Expired);
   if (terminal_cause_.load(std::memory_order_acquire) == 0) {
     try {
-      slot.partials[s] =
-          db_->banks[slot.shard_ids[s]]->execute(slot.plan, slot.rng);
+      slot.partials[s] = db_->banks[s]->execute(slot.plan, slot.rng);
     } catch (...) {
       record_error(std::current_exception());
       slot.outcome.store(static_cast<std::uint8_t>(ReadOutcome::Failed),
@@ -581,8 +558,7 @@ void SearchTicket::run_shard(std::size_t i, std::size_t s) {
         out = static_cast<ReadOutcome>(cause);
       } else {
         try {
-          slot.merged =
-              accel_->merge_subset(*db_, slot.partials, slot.shard_ids);
+          slot.merged = accel_->merge(*db_, slot.partials);
           out = ReadOutcome::Done;
         } catch (...) {
           record_error(std::current_exception());
@@ -591,7 +567,6 @@ void SearchTicket::run_shard(std::size_t i, std::size_t s) {
       }
     }
     std::vector<QueryResult>().swap(slot.partials);
-    std::vector<std::uint32_t>().swap(slot.shard_ids);
     complete_read(i, out);
   }
 }

@@ -53,13 +53,6 @@
 //    stats() aggregates p50/p95/p99 latency and energy percentiles into
 //    TicketStats once the ticket is terminal.
 //
-// With shard pruning enabled (config.pruning.enabled), each read's
-// fan-out covers only its probe-survivor shard set (ShardedAccelerator::
-// probe_shards): staging buffers shrink to the survivors, a read every
-// bank pruned completes instantly with the all-false merged shape, and
-// the per-read probe counters are flushed to the ledger at wait().
-// Decisions stay bit-identical to full fan-out — see asmcap/sketch.h.
-//
 // Three consumption styles (combinable per submission, with one rule:
 // cross-thread pollers must stop using result() references before the
 // control thread calls drain(), which moves the results out):
@@ -388,18 +381,12 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
     Exhausted,  ///< No reads left to grant (all claimed or ticket aborted).
   };
 
-  /// Per-read state. `partials`/`shard_ids` exist only between admission
-  /// and merge (and never exist when the router has a single active
-  /// shard). With pruning enabled, shard_ids is this read's probe
-  /// survivor set — the only banks dispatched — and the probe counters
-  /// feed the ledger at wait().
+  /// Per-read state. `partials` exists only between admission and merge
+  /// (and never exists when the router has a single active shard).
   struct Slot {
     ExecutionPlan plan;
     Rng rng;
-    std::vector<std::uint32_t> shard_ids;  ///< Dispatched shards, ascending.
-    std::vector<QueryResult> partials;     ///< partials[j] <- shard_ids[j].
-    std::size_t banks_probed = 0;  ///< Pruning-enabled submissions only.
-    std::size_t banks_pruned = 0;
+    std::vector<QueryResult> partials;  ///< partials[s] <- bank s.
     std::atomic<std::size_t> shards_left{0};
     QueryResult merged;
     QueryPlan ledger_plan;  ///< Kept for wait() after merged is released.
@@ -444,7 +431,7 @@ class SearchTicket : public std::enable_shared_from_this<SearchTicket> {
   ShardedAccelerator* accel_;
   ThreadPool* pool_ = nullptr;
   /// The database epoch this ticket runs against, captured at launch on
-  /// the control plane. Everything worker-side — probe, execute, merge —
+  /// the control plane. Everything worker-side — execute and merge —
   /// reads THIS snapshot, never the router's live pointer: a mutation
   /// published mid-flight (append/delete/compact on the control thread)
   /// builds new or cloned banks and cannot touch the ones pinned here, so

@@ -14,7 +14,6 @@ ShardedAccelerator::ShardedAccelerator(AsmcapConfig config,
       shard_count_(shard_count),
       rates_(ErrorRates::condition_a()),
       next_global_id_(static_cast<std::uint64_t>(config.segment_base)),
-      timing_(config.process),
       controller_(config),
       rng_(config.seed) {
   if (shard_count_ == 0)
@@ -337,29 +336,8 @@ void ShardedAccelerator::check_shard(std::size_t s) const {
     throw std::out_of_range("ShardedAccelerator: shard index out of range");
 }
 
-std::vector<std::uint32_t> ShardedAccelerator::probe_shards(
-    const DbEpoch& db, const ExecutionPlan& plan) const {
-  std::vector<std::uint32_t> selected;
-  selected.reserve(db.banks.size());
-  const std::size_t windows =
-      config_.pruning.enabled
-          ? pruning_window_count(config_, backend_kind_, plan.threshold)
-          : 0;
-  for (std::uint32_t s = 0; s < db.banks.size(); ++s) {
-    // windows == 0 means a sound prune is impossible for this query (or
-    // pruning is off): dispatch everything. A bank without a sketch is
-    // never skipped either.
-    const BankSketch* sketch =
-        windows == 0 ? nullptr : db.banks[s]->sketch();
-    if (sketch == nullptr || sketch->may_match(plan, windows))
-      selected.push_back(s);
-  }
-  return selected;
-}
-
-QueryResult ShardedAccelerator::merge_subset(
-    const DbEpoch& db, const std::vector<QueryResult>& partials,
-    const std::vector<std::uint32_t>& shard_ids) const {
+QueryResult ShardedAccelerator::merge(
+    const DbEpoch& db, const std::vector<QueryResult>& partials) const {
   QueryResult merged;
   merged.plan = partials.front().plan;
   const std::uint64_t base =
@@ -368,17 +346,17 @@ QueryResult ShardedAccelerator::merge_subset(
   for (const QueryResult& part : partials)
     matches += part.matched_segments.size();
   merged.matched_segments.reserve(matches);
-  for (std::size_t j = 0; j < shard_ids.size(); ++j) {
-    const QueryResult& part = partials[j];
+  for (std::size_t s = 0; s < partials.size(); ++s) {
+    const QueryResult& part = partials[s];
     // Bank results are slot-indexed: map each bank's matched slots to
     // global ids through its directory (ids are disjoint across banks).
-    const LiveDirectory& dir = db.banks[shard_ids[j]]->directory();
+    const LiveDirectory& dir = db.banks[s]->directory();
     for (const std::size_t slot : part.matched_segments)
       merged.matched_segments.push_back(
           static_cast<std::size_t>(dir.ids[slot] - base));
     // Banks search in parallel: a pass completes when the slowest bank
-    // does; energy is spent in every dispatched bank (ascending shard
-    // order keeps the floating-point summation deterministic).
+    // does; energy is spent in every bank (ascending shard order keeps
+    // the floating-point summation deterministic).
     merged.latency_seconds =
         std::max(merged.latency_seconds, part.latency_seconds);
     merged.energy_joules += part.energy_joules;
@@ -392,19 +370,6 @@ QueryResult ShardedAccelerator::merge_subset(
   return merged;
 }
 
-QueryResult ShardedAccelerator::empty_result(const DbEpoch& db,
-                                             const ExecutionPlan& plan) const {
-  QueryResult result;
-  result.plan = plan.summary;
-  result.decisions.assign(db.id_space, false);
-  // Pass latency is a pure function of the plan's operation count (see
-  // TimingModel), so an all-pruned read reports the same latency a full
-  // fan-out would — the bit-identity contract covers latency too.
-  result.latency_seconds =
-      timing_.asmcap_query_latency(plan.summary.total_searches());
-  return result;
-}
-
 QueryResult ShardedAccelerator::search(const Sequence& read,
                                        std::size_t threshold,
                                        StrategyMode mode,
@@ -413,38 +378,24 @@ QueryResult ShardedAccelerator::search(const Sequence& read,
   if (read.size() != config_.array_cols)
     throw std::invalid_argument("ShardedAccelerator: read width mismatch");
 
-  // Snapshot the epoch once: the whole query — probe, fan-out, merge —
-  // runs against it even if (illegally) interleaved with a mutation.
+  // Snapshot the epoch once: the whole query — fan-out and merge — runs
+  // against it even if (illegally) interleaved with a mutation.
   const std::shared_ptr<const DbEpoch> db = db_;
 
   // Identical stream evolution to AsmcapAccelerator::search — the N == 1
-  // bit-identity anchor. The master stream advances BEFORE the sketch
-  // probe, and by the same one step whether or not banks get pruned, so
-  // pruning never shifts later queries' streams. Every dispatched bank
-  // executes the same plan against the same query stream; global-id RNG
-  // keying keeps their draws disjoint, and a pruned bank would have drawn
-  // nothing that surviving banks see (streams are pure forks per global
-  // segment id) — decisions stay bit-identical to full fan-out.
+  // bit-identity anchor. Every bank executes the same plan against the
+  // same query stream; global-id RNG keying keeps their draws disjoint.
   const ExecutionPlan plan =
       controller_.planner().build(read, threshold, rates_, mode);
   const Rng query_rng = rng_.fork(rng_.next());
 
-  const std::vector<std::uint32_t> selected = probe_shards(*db, plan);
-  QueryResult result;
-  if (selected.empty()) {
-    result = empty_result(*db, plan);
-  } else {
-    std::vector<QueryResult> partials(selected.size());
-    worker_pool(workers).parallel_for(selected.size(), [&](std::size_t j) {
-      partials[j] = db->banks[selected[j]]->execute(plan, query_rng);
-    });
-    result = merge_subset(*db, partials, selected);
-  }
+  std::vector<QueryResult> partials(db->banks.size());
+  worker_pool(workers).parallel_for(partials.size(), [&](std::size_t s) {
+    partials[s] = db->banks[s]->execute(plan, query_rng);
+  });
+  QueryResult result = merge(*db, partials);
   controller_.record(result.plan, result.latency_seconds,
                      result.energy_joules);
-  if (config_.pruning.enabled)
-    controller_.record_pruning(selected.size(),
-                               db->banks.size() - selected.size());
   return result;
 }
 

@@ -40,23 +40,16 @@
 // backend including noisy circuit sensing (determinism rule 8; enforced
 // by tests/test_live.cpp).
 //
-// Per-shard results are slot-indexed at the bank boundary and merged
-// through each bank's LiveDirectory into the global id space: each bank's
-// matched slots map to global ids, which are sorted and set in the global
-// bitmap (ids are disjoint across banks) — a merge costs the matches, not
-// the width of the id space, however much churn has grown it — latency
-// is the max over shards for a pass (banks search in parallel), energy is
-// the sum in ascending shard order, and the router's ledger records the
-// merged totals.
-//
-// Shard pruning (config.pruning.enabled): before fanning out, the router
-// probes each bank's BankSketch (asmcap/sketch.h) against the query plan
-// and dispatches only the banks that may contain a match — a pruned bank
-// spawns no task, burns no SL-driver energy, and (because per-decision RNG
-// streams are keyed by global segment id and are pure forks, never
-// sequential draws) contributes no RNG draws, so the surviving banks'
-// decisions are bit-identical to full fan-out. Sketches are maintained
-// incrementally across mutations (set_row/clear_row on the clones).
+// Every read fans out to every bank of its epoch (the paper's arrays all
+// search every query; there is no pre-filter). Per-shard results are
+// slot-indexed at the bank boundary and merged through each bank's
+// LiveDirectory into the global id space: each bank's matched slots map
+// to global ids, which are sorted and set in the global bitmap (ids are
+// disjoint across banks) — a merge costs the matches, not the width of
+// the id space, however much churn has grown it — latency is the max
+// over shards for a pass (banks search in parallel), energy is the sum
+// in ascending shard order, and the router's ledger records the merged
+// totals.
 //
 // Ownership: the router owns its epochs, controller, and session pool (the
 // pool is shared with SearchService tickets and ReadMapper verification);
@@ -91,7 +84,6 @@
 #include "asmcap/config.h"
 #include "asmcap/controller.h"
 #include "asmcap/db_error.h"
-#include "circuit/timing.h"
 #include "genome/sequence.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -277,25 +269,15 @@ class ShardedAccelerator {
   /// from the epoch. Caller guarantees hot-live <= cold free capacity
   /// (the append/delete capacity invariant).
   void fold_hot(DbEpoch& next, std::vector<bool>& owned) const;
-  /// Shards of `db` to dispatch for `plan`, ascending. All banks when
-  /// pruning is disabled or cannot be sound (pruning_window_count == 0);
-  /// otherwise the banks whose sketches report may_match.
-  std::vector<std::uint32_t> probe_shards(const DbEpoch& db,
-                                          const ExecutionPlan& plan) const;
-  /// Merges the partial results of the dispatched shards (partials[j] is
-  /// shard shard_ids[j]'s slot-indexed result) into one global result:
-  /// each bank's matched slots map through its LiveDirectory to global
-  /// ids, which are sorted and then set in the id-space bitmap; latency =
-  /// max, energy = sum in ascending shard order. The cost follows the
-  /// match count, not the id space (beyond zero-filling the bitmap).
-  /// `partials` must be non-empty.
-  QueryResult merge_subset(const DbEpoch& db,
-                           const std::vector<QueryResult>& partials,
-                           const std::vector<std::uint32_t>& shard_ids) const;
-  /// The merged result of a read every bank pruned: all-false decisions,
-  /// zero energy, and the same analytic pass latency any bank would
-  /// report for this plan (latency is plan-determined, not data-determined).
-  QueryResult empty_result(const DbEpoch& db, const ExecutionPlan& plan) const;
+  /// Merges the per-bank partial results (partials[s] is bank s's
+  /// slot-indexed result) into one global result: each bank's matched
+  /// slots map through its LiveDirectory to global ids, which are sorted
+  /// and then set in the id-space bitmap; latency = max, energy = sum in
+  /// ascending shard order. The cost follows the match count, not the id
+  /// space (beyond zero-filling the bitmap). `partials` holds one result
+  /// per bank of `db`.
+  QueryResult merge(const DbEpoch& db,
+                    const std::vector<QueryResult>& partials) const;
 
   AsmcapConfig config_;
   std::size_t shard_count_;
@@ -305,7 +287,6 @@ class ShardedAccelerator {
   /// searches and tickets copy the pointer at launch.
   std::shared_ptr<const DbEpoch> db_;
   std::uint64_t next_global_id_;  ///< Monotonic; ids are never reused.
-  TimingModel timing_;  ///< Plan-pure pass latency (empty_result's source).
   Controller controller_;
   std::uint64_t batch_epoch_ = 0;
   Rng rng_;  ///< Router master stream; advances exactly like a bank's.

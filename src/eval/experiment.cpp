@@ -203,13 +203,8 @@ ShardedComparisonResult run_sharded_comparison(
   out.segments = dataset.rows.size();
   out.shards = config.shards;
 
-  // The sharded filter: the whole query batch in one routed call. Shard
-  // pruning (default on) makes the reported energy the honest deployment
-  // number — only the banks the sketch could not rule out are charged;
-  // decisions are bit-identical either way (asmcap/sketch.h).
-  AsmcapConfig bank_config = config.bank;
-  bank_config.pruning.enabled = config.prune_shards;
-  ShardedAccelerator accel(bank_config, config.shards);
+  // The sharded filter: the whole query batch in one routed call.
+  ShardedAccelerator accel(config.bank, config.shards);
   accel.set_error_profile(dataset.rates);
   accel.load_reference(dataset.rows);
 
@@ -258,12 +253,6 @@ ShardedComparisonResult run_sharded_comparison(
   out.kraken_f1 = out.cm_kraken.f1();
   out.accel_latency_seconds = accel.totals().latency_seconds;
   out.accel_energy_joules = accel.totals().energy_joules;
-  out.banks_probed = accel.totals().banks_probed;
-  out.banks_pruned = accel.totals().banks_pruned;
-  const std::size_t probes = out.banks_probed + out.banks_pruned;
-  out.prune_rate = probes == 0 ? 0.0
-                               : static_cast<double>(out.banks_pruned) /
-                                     static_cast<double>(probes);
   out.cmcpu_seconds = static_cast<double>(reads.size()) *
                       cmcpu.seconds_per_read(config.bank.array_cols,
                                              dataset.rows.size(),

@@ -97,12 +97,6 @@ struct ShardedComparisonConfig {
   /// functional = fast with identical decisions under ideal sensing).
   BackendKind edam_backend = BackendKind::Circuit;
   std::size_t workers = 1;
-  /// Sketch-based shard pruning for the ASMCap arm (bank.pruning is
-  /// overridden with this). Default ON: decisions are bit-identical
-  /// either way (asmcap/sketch.h), and skipping provably-hitless banks is
-  /// how a real deployment would run, so the reported ASMCap energy stays
-  /// honest instead of charging every bank for every read.
-  bool prune_shards = true;
   /// Live-mutation arm: after the frozen comparison, delete the LAST
   /// `live_block` reference rows (a contamination block), re-query, then
   /// re-insert the same rows under fresh ids, re-query again, and compact.
@@ -122,15 +116,11 @@ struct ShardedComparisonResult {
   double asmcap_f1 = 0.0;
   double edam_f1 = 0.0;
   double kraken_f1 = 0.0;
-  /// Aggregate router-ledger totals for the whole query batch. With
-  /// prune_shards, the energy covers only the banks actually probed.
+  /// Aggregate router-ledger totals for the whole query batch. Every
+  /// read is charged in every bank, as every array searches every query
+  /// on the paper's hardware.
   double accel_latency_seconds = 0.0;
   double accel_energy_joules = 0.0;
-  /// Sketch-probe outcome over the batch (zero when prune_shards off).
-  std::size_t banks_probed = 0;
-  std::size_t banks_pruned = 0;
-  /// banks_pruned / (banks_probed + banks_pruned); 0 when pruning is off.
-  double prune_rate = 0.0;
   /// EDAM batch totals (latency summed in read order, like the ledger's).
   double edam_latency_seconds = 0.0;
   double edam_energy_joules = 0.0;

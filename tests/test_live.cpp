@@ -12,9 +12,7 @@
 //  * tombstone lifecycle — slot recycling, id stability, and the typed
 //    DbError taxonomy;
 //  * hot-bank overflow and compaction — staging-bank geometry changes
-//    never change decisions;
-//  * sketch consistency — shard pruning stays decision-neutral across
-//    mutations.
+//    never change decisions.
 
 #include <gtest/gtest.h>
 
@@ -304,42 +302,6 @@ TEST_F(LiveDbTest, HotBankOverflowAndCompactionAreDecisionNeutral) {
     EXPECT_EQ(a[i].matched_segments, b[i].matched_segments);
     EXPECT_EQ(a[i].latency_seconds, b[i].latency_seconds);
   }
-}
-
-// Shard pruning must stay decision-neutral across mutations: the bank
-// sketches are updated incrementally on every append/delete/fold, and a
-// stale sketch would prune a bank that holds a real hit. Equality against
-// an unpruned twin after a full mutation history proves the incremental
-// maintenance correct.
-TEST_F(LiveDbTest, SketchPruningDecisionNeutralAfterMutations) {
-  AsmcapConfig pruned_config = bank_config(2);
-  pruned_config.pruning.enabled = true;
-  AsmcapConfig plain_config = bank_config(2);
-  plain_config.pruning.enabled = false;
-
-  auto mutate = [&](ShardedAccelerator& router) {
-    router.load_reference(first(30));
-    router.append_segments(
-        std::vector<Sequence>(segments_.begin() + 30, segments_.begin() + 42));
-    router.remove_segments({1, 8, 33, 41});
-    router.compact();
-  };
-  ShardedAccelerator pruned(pruned_config, 2);
-  ShardedAccelerator plain(plain_config, 2);
-  mutate(pruned);
-  mutate(plain);
-
-  const std::vector<QueryResult> a =
-      pruned.search_batch(reads_, 4, StrategyMode::Full, 2);
-  const std::vector<QueryResult> b =
-      plain.search_batch(reads_, 4, StrategyMode::Full, 2);
-  for (std::size_t i = 0; i < reads_.size(); ++i) {
-    EXPECT_EQ(a[i].decisions, b[i].decisions);
-    EXPECT_EQ(a[i].matched_segments, b[i].matched_segments);
-  }
-  // Every (query, bank) pair was either probed or pruned, never dropped.
-  EXPECT_EQ(pruned.totals().banks_probed + pruned.totals().banks_pruned,
-            reads_.size() * pruned.active_shards());
 }
 
 // The typed error taxonomy shared by the ASMCap banks, the router, and

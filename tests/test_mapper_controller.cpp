@@ -1,55 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "asmcap/controller.h"
-#include "asmcap/mapper.h"
 
 namespace asmcap {
 namespace {
-
-TEST(Mapper, FillOrderRowMajorAcrossArrays) {
-  ReferenceMapper mapper(4, 8);
-  const auto locations = mapper.map_segments(10);
-  ASSERT_EQ(locations.size(), 10u);
-  EXPECT_EQ(locations[0].array, 0u);
-  EXPECT_EQ(locations[0].row, 0u);
-  EXPECT_EQ(locations[7].array, 0u);
-  EXPECT_EQ(locations[7].row, 7u);
-  EXPECT_EQ(locations[8].array, 1u);
-  EXPECT_EQ(locations[8].row, 0u);
-  EXPECT_EQ(mapper.mapped_segments(), 10u);
-  EXPECT_EQ(mapper.arrays_in_use(), 2u);
-}
-
-TEST(Mapper, CapacityEnforced) {
-  ReferenceMapper mapper(2, 4);
-  mapper.map_segments(8);
-  EXPECT_THROW(mapper.map_segments(1), std::length_error);
-}
-
-TEST(Mapper, IncrementalMapping) {
-  ReferenceMapper mapper(2, 4);
-  mapper.map_segments(3);
-  const auto second = mapper.map_segments(2);
-  EXPECT_EQ(second[0].array, 0u);
-  EXPECT_EQ(second[0].row, 3u);
-  EXPECT_EQ(second[1].array, 1u);
-  EXPECT_EQ(second[1].row, 0u);
-}
-
-TEST(Mapper, ReverseLookup) {
-  ReferenceMapper mapper(4, 8);
-  mapper.map_segments(10);
-  EXPECT_EQ(mapper.segment_at(0, 5).value(), 5u);
-  EXPECT_EQ(mapper.segment_at(1, 1).value(), 9u);
-  EXPECT_FALSE(mapper.segment_at(1, 2).has_value());  // beyond mapped
-  EXPECT_FALSE(mapper.segment_at(3, 7).has_value());
-  EXPECT_THROW(mapper.segment_at(4, 0), std::out_of_range);
-}
-
-TEST(Mapper, EmptyGeometryThrows) {
-  EXPECT_THROW(ReferenceMapper(0, 8), std::invalid_argument);
-  EXPECT_THROW(ReferenceMapper(8, 0), std::invalid_argument);
-}
 
 TEST(Controller, PlanBaselineIsSingleSearch) {
   const AsmcapConfig config;

@@ -2,8 +2,9 @@
 // worker-count invariance of decisions, bit-identity of N == 1 with the
 // monolithic accelerator (noisy circuit path included), global-index
 // re-basing at shard boundaries, ledger-total equivalence against a
-// monolithic bank of the same total geometry, capacity enforcement, and
-// the sharded read mapper.
+// monolithic bank of the same total geometry, energy as the exact sum of
+// every bank's charge, capacity enforcement, the load-once contract, the
+// inert pruning flag, and the sharded read mapper.
 
 #include <gtest/gtest.h>
 
@@ -214,6 +215,47 @@ TEST_F(ShardedTest, LedgerTotalsMatchMonolithicOnAlignedShards) {
               1e-9 * mt.energy_joules);
 }
 
+TEST_F(ShardedTest, EnergyIsExactlyTheBanksSumInShardOrder) {
+  // Every read is charged in every bank. On the functional backend pass
+  // energy is a pure function of the plan and the bank's stored rows (no
+  // RNG dependence), so each read's energy must rebuild exactly — same
+  // summation order — from the banks' own execute() results, and its
+  // latency is the slowest bank's. The last read matches no row: it still
+  // merges to the all-false shape and is still charged.
+  ShardedAccelerator accel(bank_config(4, /*ideal=*/false), 5);
+  accel.load_reference(segments_);
+  accel.set_backend(BackendKind::Functional);
+  ASSERT_EQ(accel.active_shards(), 5u);
+  std::vector<Sequence> reads = reads_;
+  reads.emplace_back(64);  // all 'A': no row is within T
+  const auto batch = accel.search_batch(reads, 4, StrategyMode::Full, 2);
+
+  const Rng any_rng(42);
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const ExecutionPlan plan = accel.controller().planner().build(
+        reads[i], 4, accel.error_profile(), StrategyMode::Full);
+    double energy = 0.0;
+    double latency = 0.0;
+    for (std::size_t s = 0; s < accel.active_shards(); ++s) {
+      const QueryResult part = accel.shard(s).execute(plan, any_rng);
+      energy += part.energy_joules;
+      latency = std::max(latency, part.latency_seconds);
+    }
+    EXPECT_EQ(batch[i].energy_joules, energy) << "read " << i;
+    EXPECT_EQ(batch[i].latency_seconds, latency) << "read " << i;
+  }
+  const QueryResult& none = batch.back();
+  EXPECT_EQ(none.decisions, std::vector<bool>(segments_.size(), false));
+  EXPECT_TRUE(none.matched_segments.empty());
+  EXPECT_GT(none.energy_joules, 0.0);
+  // The sequential path fans out and merges the same way.
+  const QueryResult sequential =
+      accel.search(reads.back(), 4, StrategyMode::Full, 2);
+  EXPECT_EQ(sequential.decisions, none.decisions);
+  EXPECT_EQ(sequential.energy_joules, none.energy_joules);
+  EXPECT_EQ(sequential.latency_seconds, none.latency_seconds);
+}
+
 // ----------------------------------------------------------- capacity ----
 
 TEST_F(ShardedTest, ShardingExtendsCapacityPastOneBank) {
@@ -282,6 +324,88 @@ TEST_F(ShardedTest, Validation) {
   EXPECT_THROW(accel.search(Sequence::random(32, rng), 2,
                             StrategyMode::Baseline),
                std::invalid_argument);
+}
+
+TEST_F(ShardedTest, RepeatedLoadThrowsAlreadyLoadedAndStaysSearchable) {
+  ShardedAccelerator accel(bank_config(4), 5);
+  accel.load_reference(segments_);
+  try {
+    accel.load_reference(segments_);
+    FAIL() << "expected DbError";
+  } catch (const DbError& error) {
+    EXPECT_EQ(error.kind(), DbErrorKind::AlreadyLoaded);
+  }
+  // The failed reload published nothing: the same epoch answers exactly
+  // like a router that was loaded once.
+  EXPECT_EQ(accel.epoch(), 1u);
+  EXPECT_EQ(accel.active_shards(), 5u);
+  ShardedAccelerator fresh(bank_config(4), 5);
+  fresh.load_reference(segments_);
+  const auto after = accel.search_batch(reads_, 4, StrategyMode::Full, 2);
+  const auto expect = fresh.search_batch(reads_, 4, StrategyMode::Full, 2);
+  for (std::size_t i = 0; i < reads_.size(); ++i) {
+    EXPECT_EQ(after[i].decisions, expect[i].decisions) << "read " << i;
+    EXPECT_EQ(after[i].matched_segments, expect[i].matched_segments);
+    EXPECT_EQ(after[i].energy_joules, expect[i].energy_joules);
+    EXPECT_EQ(after[i].latency_seconds, expect[i].latency_seconds);
+  }
+}
+
+// config.pruning.enabled is read by nothing (a benchmark probe still sets
+// it). Setting it must change no decision, energy, latency, or ledger
+// total on any backend, through the batch, sequential, and mutation paths.
+TEST_F(ShardedTest, PruningFlagIsInert) {
+  struct Case {
+    bool ideal;
+    BackendKind backend;
+  };
+  const std::vector<Sequence> loaded(segments_.begin(),
+                                     segments_.begin() + 30);
+  const std::vector<Sequence> appended(segments_.begin() + 30,
+                                       segments_.end());
+  for (const Case c : {Case{true, BackendKind::Circuit},
+                       Case{false, BackendKind::Circuit},
+                       Case{false, BackendKind::Functional}}) {
+    std::vector<QueryResult> results[2];
+    ExecutionTotals totals[2];
+    for (const bool flag : {false, true}) {
+      AsmcapConfig config = bank_config(4, c.ideal);
+      config.pruning.enabled = flag;
+      ShardedAccelerator accel(config, 5);
+      accel.load_reference(loaded);
+      accel.set_backend(c.backend);
+      std::vector<QueryResult>& out = results[flag ? 1 : 0];
+      out = accel.search_batch(reads_, 4, StrategyMode::Full, 3);
+      for (const Sequence& read : reads_)
+        out.push_back(accel.search(read, 4, StrategyMode::Full, 2));
+      accel.append_segments(appended);
+      accel.remove_segments({1, 8, 33, 38});
+      accel.compact();
+      for (QueryResult& result :
+           accel.search_batch(reads_, 4, StrategyMode::Full, 3))
+        out.push_back(std::move(result));
+      totals[flag ? 1 : 0] = accel.totals();
+    }
+    ASSERT_EQ(results[1].size(), results[0].size());
+    for (std::size_t i = 0; i < results[0].size(); ++i) {
+      EXPECT_EQ(results[1][i].decisions, results[0][i].decisions)
+          << "result " << i;
+      EXPECT_EQ(results[1][i].matched_segments,
+                results[0][i].matched_segments);
+      EXPECT_EQ(results[1][i].energy_joules, results[0][i].energy_joules);
+      EXPECT_EQ(results[1][i].latency_seconds, results[0][i].latency_seconds);
+    }
+    EXPECT_EQ(totals[1].queries, totals[0].queries);
+    EXPECT_EQ(totals[1].searches, totals[0].searches);
+    EXPECT_EQ(totals[1].hd_searches, totals[0].hd_searches);
+    EXPECT_EQ(totals[1].rotation_searches, totals[0].rotation_searches);
+    EXPECT_EQ(totals[1].latency_seconds, totals[0].latency_seconds);
+    EXPECT_EQ(totals[1].energy_joules, totals[0].energy_joules);
+    for (const ExecutionTotals& t : totals) {
+      EXPECT_EQ(t.banks_probed, 0u);
+      EXPECT_EQ(t.banks_pruned, 0u);
+    }
+  }
 }
 
 // ----------------------------------------------------------- read mapper --

@@ -56,7 +56,6 @@ struct CliOptions {
   std::size_t max_in_flight = 0;
   ServiceClass service_class = ServiceClass::Normal;
   double deadline_seconds = 0.0;
-  bool prune = false;
   std::string kernel;  ///< Empty = ASMCAP_KERNEL / CPU detection.
   bool json = false;
   std::uint64_t seed = 0xA5A5'5A5A'C0FF'EE00ULL;
@@ -79,7 +78,7 @@ void print_usage(std::ostream& out) {
          "  --mode M           full | baseline | hdac | tasr (default full)\n"
          "  --backend B        functional | circuit (default functional)\n"
          "  --noisy            enable the analog noise model (default ideal sensing)\n"
-         "  --shards N         database shard count (default 4)\n"
+         "  --shards N         most banks the database may use (default 4)\n"
          "  --workers N        worker threads (0 = one per hardware thread; default 1)\n"
          "  --array-rows N     rows per CAM array (default 256)\n"
          "  --arrays N         arrays per shard (default 512)\n"
@@ -88,7 +87,6 @@ void print_usage(std::ostream& out) {
          "  --max-in-flight N  admission window (0 = 2 x workers; default 0)\n"
          "  --class C          interactive | normal | bulk (default normal)\n"
          "  --deadline S       per-chunk deadline in seconds (0 = none)\n"
-         "  --prune            enable sketch-based shard pruning\n"
          "  --kernel K         scalar | avx2 | neon (default: ASMCAP_KERNEL or CPU)\n"
          "  --format F         tsv | json (default tsv)\n"
          "  --output PATH      write results to PATH instead of stdout\n"
@@ -186,8 +184,6 @@ CliOptions parse_args(int argc, char** argv) {
       else usage_error("--class must be interactive|normal|bulk, got '" + value + "'");
     } else if (arg == "--deadline") {
       options.deadline_seconds = parse_seconds(arg, need_value(i));
-    } else if (arg == "--prune") {
-      options.prune = true;
     } else if (arg == "--kernel") {
       options.kernel = need_value(i);
     } else if (arg == "--format") {
@@ -311,7 +307,6 @@ int run(const CliOptions& options) {
   config.array_cols = options.width;
   config.array_count = options.arrays;
   config.ideal_sensing = !options.noisy;
-  config.pruning.enabled = options.prune;
   config.seed = options.seed;
 
   if (!options.kernel.empty())
@@ -334,7 +329,8 @@ int run(const CliOptions& options) {
             << ingest.records << " records, " << ingest.bases << " bases -> "
             << ingest.segments << " segments of width " << options.width
             << " (" << ingest.padded_segments << " padded) across "
-            << options.shards << " shards\n";
+            << (db.db() ? db.active_shards() : 0) << " of " << options.shards
+            << " shards\n";
   if (ingest.segments == 0) {
     std::cerr << "asmcap_search: reference yielded no segments\n";
     return kExitError;

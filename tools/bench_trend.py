@@ -12,8 +12,8 @@ the file stem when the parent is uninformative.
 
 The table carries the headline speedup, every timed path's throughput,
 the decision digest (so a digest drift is visible in the trend, not just
-in the gate), and any metrics the report carries (e.g. the pruned arm's
-prune_rate / pruned_energy_savings). Reports with an unknown schema are
+in the gate), and any metrics the report carries (e.g. bench_service's
+mixed_digest_matches / interactive_p99_speedup). Reports with an unknown schema are
 skipped with a warning rather than failing the run: a trend table should
 degrade, not break, when an old artifact lingers.
 """

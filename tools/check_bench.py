@@ -18,7 +18,7 @@ committed bench/baseline.json:
   * any metric bounds the baseline entry declares (its "metrics" object,
     name -> {"min": x, "max": y}) are enforced against the report's
     metrics — a bounded metric MISSING from the report is a failure
-    (e.g. the pruned arm's prune_rate / pruned_digest_matches), while
+    (e.g. bench_live's grown_digest_matches / churn_digest_matches), while
     report metrics without baseline bounds pass through ungated.
 
 Usage:

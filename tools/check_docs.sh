@@ -36,7 +36,6 @@ done
 headers="
 src/asmcap/accelerator.h
 src/asmcap/db_error.h
-src/asmcap/sketch.h
 src/asmcap/sharded.h
 src/asmcap/readmapper.h
 src/asmcap/backend.h
