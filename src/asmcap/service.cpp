@@ -487,6 +487,14 @@ void SearchTicket::run_read(std::size_t i) {
     slot.plan = accel_->controller_.planner().build(
         (*reads_)[i], threshold_, accel_->rates_, mode_);
     slot.rng = master_.fork((epoch_ << 32) | static_cast<std::uint64_t>(i));
+    if (shards == 0) {
+      // An epoch with no bank (every segment removed, then compacted):
+      // nothing executes, and merging no partials gives all-false.
+      slot.merged = accel_->merge(*db_, slot.plan, {});
+      slot.t_executed = clock_->now();
+      complete_read(i, ReadOutcome::Done);
+      return;
+    }
     if (shards == 1 && db_->banks[0]->identity_layout() &&
         db_->banks[0]->loaded_segments() == db_->id_space) {
       // Single-bank router with the identity layout (slot s holds global
@@ -558,7 +566,7 @@ void SearchTicket::run_shard(std::size_t i, std::size_t s) {
         out = static_cast<ReadOutcome>(cause);
       } else {
         try {
-          slot.merged = accel_->merge(*db_, slot.partials);
+          slot.merged = accel_->merge(*db_, slot.plan, slot.partials);
           out = ReadOutcome::Done;
         } catch (...) {
           record_error(std::current_exception());

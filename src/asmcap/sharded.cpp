@@ -337,9 +337,10 @@ void ShardedAccelerator::check_shard(std::size_t s) const {
 }
 
 QueryResult ShardedAccelerator::merge(
-    const DbEpoch& db, const std::vector<QueryResult>& partials) const {
+    const DbEpoch& db, const ExecutionPlan& plan,
+    const std::vector<QueryResult>& partials) const {
   QueryResult merged;
-  merged.plan = partials.front().plan;
+  merged.plan = plan.summary;
   const std::uint64_t base =
       static_cast<std::uint64_t>(config_.segment_base);
   std::size_t matches = 0;
@@ -393,7 +394,7 @@ QueryResult ShardedAccelerator::search(const Sequence& read,
   worker_pool(workers).parallel_for(partials.size(), [&](std::size_t s) {
     partials[s] = db->banks[s]->execute(plan, query_rng);
   });
-  QueryResult result = merge(*db, partials);
+  QueryResult result = merge(*db, plan, partials);
   controller_.record(result.plan, result.latency_seconds,
                      result.energy_joules);
   return result;

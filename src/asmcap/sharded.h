@@ -275,8 +275,10 @@ class ShardedAccelerator {
   /// and then set in the id-space bitmap; latency = max, energy = sum in
   /// ascending shard order. The cost follows the match count, not the id
   /// space (beyond zero-filling the bitmap). `partials` holds one result
-  /// per bank of `db`.
-  QueryResult merge(const DbEpoch& db,
+  /// per bank of `db`; an epoch with no bank (every segment removed, then
+  /// compacted) merges no partials to all-false decisions with zero
+  /// latency and energy.
+  QueryResult merge(const DbEpoch& db, const ExecutionPlan& plan,
                     const std::vector<QueryResult>& partials) const;
 
   AsmcapConfig config_;

@@ -12,7 +12,9 @@
 //  * tombstone lifecycle — slot recycling, id stability, and the typed
 //    DbError taxonomy;
 //  * hot-bank overflow and compaction — staging-bank geometry changes
-//    never change decisions.
+//    never change decisions;
+//  * an epoch with no bank (every segment removed, then compacted)
+//    searches to all-false on every path.
 
 #include <gtest/gtest.h>
 
@@ -302,6 +304,43 @@ TEST_F(LiveDbTest, HotBankOverflowAndCompactionAreDecisionNeutral) {
     EXPECT_EQ(a[i].matched_segments, b[i].matched_segments);
     EXPECT_EQ(a[i].latency_seconds, b[i].latency_seconds);
   }
+}
+
+// Removing every segment and compacting folds the hot bank into nothing,
+// so the epoch holds no bank at all. Reads against it — sequential, batch
+// and through the service — must merge to all-false decisions over the id
+// space with zero energy and latency, and a later append must make the
+// database searchable again.
+TEST_F(LiveDbTest, EpochWithNoBankSearchesToAllFalse) {
+  ShardedAccelerator router(bank_config(2), 2);
+  const std::vector<std::uint64_t> ids = router.append_segments(first(6));
+  router.remove_segments(ids);
+  router.compact();
+  ASSERT_EQ(router.active_shards(), 0u);
+  EXPECT_EQ(router.live_segment_count(), 0u);
+
+  const std::vector<bool> all_false(ids.size(), false);
+  auto expect_empty = [&](const QueryResult& result) {
+    EXPECT_EQ(result.decisions, all_false);
+    EXPECT_TRUE(result.matched_segments.empty());
+    EXPECT_EQ(result.energy_joules, 0.0);
+    EXPECT_EQ(result.latency_seconds, 0.0);
+  };
+  expect_empty(router.search(segments_[0], 4, StrategyMode::Full, 2));
+  for (const std::size_t workers : {1u, 3u})
+    for (const QueryResult& result :
+         router.search_batch(reads_, 4, StrategyMode::Full, workers))
+      expect_empty(result);
+  SearchService service(router);
+  const std::vector<QueryResult> streamed =
+      service.submit_borrowed(reads_, 4, StrategyMode::Full, {})->drain();
+  ASSERT_EQ(streamed.size(), reads_.size());
+  for (const QueryResult& result : streamed) expect_empty(result);
+
+  const std::vector<std::uint64_t> back = router.append_segments(first(1));
+  const QueryResult found = router.search(segments_[0], 4, StrategyMode::Full);
+  EXPECT_EQ(found.matched_segments,
+            std::vector<std::size_t>{static_cast<std::size_t>(back[0])});
 }
 
 // The typed error taxonomy shared by the ASMCap banks, the router, and
