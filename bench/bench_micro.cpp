@@ -7,9 +7,9 @@
 #include "align/edit_distance.h"
 #include "align/edstar.h"
 #include "align/hamming.h"
+#include "align/kernels.h"
 #include "align/myers.h"
 #include "asmcap/accelerator.h"
-#include "cam/array.h"
 #include "genome/reference.h"
 #include "util/rng.h"
 
@@ -87,17 +87,25 @@ void BM_EdStarPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_EdStarPacked);
 
-void BM_CamArraySearch(benchmark::State& state) {
+void BM_PackedRowSearch(benchmark::State& state) {
+  // One ED* pass over a 256x256 array: the read view plus the block-kernel
+  // sweep over the bank's packed rows.
   Rng rng(13);
-  CamArray array(256, 256);
+  std::vector<Sequence> segments;
   for (std::size_t r = 0; r < 256; ++r)
-    array.write_row(r, Sequence::random(256, rng));
+    segments.push_back(Sequence::random(256, rng));
+  const PackedRowMatrix rows(segments, 256);
   const Sequence read = Sequence::random(256, rng);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(array.search_counts(read, MatchMode::EdStar));
+  std::vector<std::uint32_t> counts(rows.rows());
+  for (auto _ : state) {
+    const PackedReadView view(read);
+    ed_star_packed_block(rows.data(), rows.rows(), view, counts.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
   state.SetItemsProcessed(state.iterations() * 256 * 256);  // cells
 }
-BENCHMARK(BM_CamArraySearch);
+BENCHMARK(BM_PackedRowSearch);
 
 void BM_AcceleratorQuery(benchmark::State& state) {
   AsmcapConfig config;

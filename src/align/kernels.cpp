@@ -56,16 +56,35 @@ PackedReadView::PackedReadView(const Sequence& read, bool neighbours)
 
 PackedRowMatrix::PackedRowMatrix(const std::vector<Sequence>& rows,
                                  std::size_t cols)
-    : rows_(rows.size()), cols_(cols), words_per_row_((cols + 31) / 32) {
-  words_.resize(rows_ * words_per_row_, 0);
-  for (std::size_t g = 0; g < rows_; ++g) {
-    if (rows[g].size() != cols)
-      throw std::invalid_argument("PackedRowMatrix: row width mismatch");
-    const std::vector<std::uint64_t> packed = rows[g].packed_words();
-    if (!packed.empty())
-      std::memcpy(words_.data() + g * words_per_row_, packed.data(),
-                  packed.size() * sizeof(std::uint64_t));
-  }
+    : cols_(cols), words_per_row_((cols + 31) / 32) {
+  grow(rows.size());
+  for (std::size_t g = 0; g < rows_; ++g) write_row(g, rows[g]);
+}
+
+void PackedRowMatrix::grow(std::size_t rows) {
+  if (rows <= rows_) return;
+  words_.resize(rows * words_per_row_, 0);
+  rows_ = rows;
+}
+
+void PackedRowMatrix::write_row(std::size_t g, const Sequence& segment) {
+  if (segment.size() != cols_)
+    throw std::invalid_argument("PackedRowMatrix: row width mismatch");
+  grow(g + 1);
+  const std::vector<std::uint64_t> packed = segment.packed_words();
+  if (!packed.empty())
+    std::memcpy(words_.data() + g * words_per_row_, packed.data(),
+                packed.size() * sizeof(std::uint64_t));
+}
+
+Sequence PackedRowMatrix::unpack_row(std::size_t g) const {
+  if (g >= rows_) throw std::out_of_range("PackedRowMatrix: row out of range");
+  const std::uint64_t* words = row(g);
+  Sequence segment(cols_);
+  for (std::size_t i = 0; i < cols_; ++i)
+    segment.set(i, base_from_code(static_cast<std::uint8_t>(
+                       (words[i / 32] >> (2 * (i % 32))) & 3U)));
+  return segment;
 }
 
 // -------------------------------------------------------- scalar tier --

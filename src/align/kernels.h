@@ -69,12 +69,14 @@ struct PackedReadView {
 
 /// Row-major 2-bit packed segment storage for the block kernels: row g
 /// occupies words [g * words_per_row, (g+1) * words_per_row). This is the
-/// resident form of the functional backends' reference database.
+/// one resident copy of a bank's reference rows: both backends of an
+/// accelerator read it, and row bases are unpacked from it on demand.
 class PackedRowMatrix {
  public:
   PackedRowMatrix() = default;
   /// Packs `rows` (each of length `cols`) contiguously. Throws
-  /// std::invalid_argument on a width mismatch.
+  /// std::invalid_argument on a width mismatch. An empty `rows` gives an
+  /// empty, growable matrix of width `cols`.
   PackedRowMatrix(const std::vector<Sequence>& rows, std::size_t cols);
 
   std::size_t rows() const { return rows_; }
@@ -84,6 +86,15 @@ class PackedRowMatrix {
   const std::uint64_t* row(std::size_t g) const {
     return words_.data() + g * words_per_row_;
   }
+
+  /// Grows the matrix to `rows` rows; new rows are all-zero (all 'A').
+  /// Never shrinks.
+  void grow(std::size_t rows);
+  /// Packs `segment` into row g, growing the matrix to g + 1 rows when
+  /// needed. Throws std::invalid_argument on a width mismatch.
+  void write_row(std::size_t g, const Sequence& segment);
+  /// The bases of row g. Throws std::out_of_range past rows().
+  Sequence unpack_row(std::size_t g) const;
 
  private:
   std::vector<std::uint64_t> words_;

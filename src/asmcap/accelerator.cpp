@@ -32,32 +32,38 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
       silicon_root_(
           Rng(config.silicon_seed != 0 ? config.silicon_seed : config.seed)
               .fork(0x51C0)),
+      rows_({}, config.array_cols),
       next_auto_id_(static_cast<std::uint64_t>(config.segment_base)),
       rng_(config.seed) {
   validate(config_.process);
   circuit_backend_ =
-      std::make_unique<CircuitBackend>(units_, dir_, config_.array_rows);
-  functional_backend_ = std::make_unique<FunctionalBackend>(config_, dir_);
+      std::make_unique<CircuitBackend>(config_, rows_, readouts_, dir_);
+  functional_backend_ =
+      std::make_unique<FunctionalBackend>(config_, rows_, dir_);
 }
 
-void AsmcapAccelerator::ensure_units(std::size_t arrays) {
-  if (arrays > config_.array_count)
+void AsmcapAccelerator::manufacture_row(std::size_t slot, std::uint64_t id) {
+  const std::size_t a = slot / config_.array_rows;
+  if (a >= config_.array_count)
     throw DbError(DbErrorKind::CapacityExceeded,
                   "AsmcapAccelerator: array count exceeded");
-  while (units_.size() < arrays) {
-    Rng unit_rng = silicon_root_.fork(
-        kUnitSalt + static_cast<std::uint64_t>(units_.size()));
-    units_.emplace_back(config_.array_rows, config_.array_cols,
-                        config_.process.charge, config_.ideal_sensing,
-                        unit_rng);
+  while (readouts_.size() <= a) {
+    Rng array_rng = silicon_root_.fork(
+        kUnitSalt + static_cast<std::uint64_t>(readouts_.size()));
+    readouts_.emplace_back(config_.array_rows, config_.array_cols,
+                           config_.process.charge, array_rng);
   }
+  // The row's analog silicon is a pure function of its global id: the
+  // segment decides identically in whichever slot, array, or bank it
+  // lands (docs/determinism.md rule 8).
+  Rng silicon = silicon_root_.fork(id);
+  readouts_[a].remanufacture_row(slot % config_.array_rows, silicon);
 }
 
 void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
                                    const Sequence& segment) {
   const std::size_t a = slot / config_.array_rows;
-  const std::size_t r = slot % config_.array_rows;
-  ensure_units(a + 1);
+  manufacture_row(slot, id);
   if (slot < dir_.slots() && !dir_.slot_live(slot)) {
     // Recycling a tombstoned slot: the previous occupant's id is forgotten
     // for good (its state becomes Unknown — ids are never resurrected).
@@ -65,12 +71,7 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
   }
   dir_.grow(slot + 1);
   if (a >= dir_.array_live.size()) dir_.array_live.resize(a + 1, 0);
-  // The row's analog silicon is a pure function of its global id: the
-  // segment decides identically in whichever slot, array, or bank it
-  // lands (docs/determinism.md rule 8).
-  Rng silicon = silicon_root_.fork(id);
-  units_[a].write_row(r, segment, silicon);
-  functional_backend_->write_slot(slot, segment);
+  rows_.write_row(slot, segment);
   dir_.ids[slot] = id;
   dir_.set_live(slot, true);
   ++dir_.array_live[a];
@@ -179,8 +180,8 @@ void AsmcapAccelerator::remove_segments(
   for (const std::uint64_t id : ids) {
     const std::size_t slot = id_to_slot_.at(id);
     const std::size_t a = slot / config_.array_rows;
-    const std::size_t r = slot % config_.array_rows;
-    units_[a].invalidate_row(r);  // all-mismatch mask: zero search energy
+    // The packed row stays as it was: a dead row is never evaluated, and
+    // its all-mismatch matchline would charge zero search energy anyway.
     dir_.set_live(slot, false);
     --dir_.array_live[a];
     --dir_.live_count;
@@ -204,12 +205,9 @@ std::vector<std::pair<std::uint64_t, Sequence>>
 AsmcapAccelerator::live_segments() const {
   std::vector<std::pair<std::uint64_t, Sequence>> out;
   out.reserve(dir_.live_count);
-  for (std::size_t slot = 0; slot < dir_.slots(); ++slot) {
-    if (!dir_.slot_live(slot)) continue;
-    const std::size_t a = slot / config_.array_rows;
-    const std::size_t r = slot % config_.array_rows;
-    out.emplace_back(dir_.ids[slot], units_[a].array().row_segment(r));
-  }
+  for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
+    if (dir_.slot_live(slot))
+      out.emplace_back(dir_.ids[slot], rows_.unpack_row(slot));
   return out;
 }
 
@@ -217,19 +215,15 @@ std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   auto copy = std::make_unique<AsmcapAccelerator>(config_);
   copy->rates_ = rates_;
   copy->backend_kind_ = backend_kind_;
-  // Replay the live rows into the same slots: silicon is keyed per global
-  // id, so the copy's analog state is identical where it matters (dead and
-  // unwritten rows are masked out of every decision and charge exactly
-  // zero search energy).
-  for (std::size_t slot = 0; slot < dir_.slots(); ++slot) {
-    if (!dir_.slot_live(slot)) continue;
-    const std::size_t a = slot / config_.array_rows;
-    const std::size_t r = slot % config_.array_rows;
-    copy->write_slot(slot, dir_.ids[slot], units_[a].array().row_segment(r));
-  }
+  copy->rows_ = rows_;
+  // Re-manufacture the live rows' silicon in slot order: silicon is keyed
+  // per global id, so the copy's analog state is identical where it
+  // matters (dead and unwritten rows are never evaluated and charge
+  // exactly zero search energy).
+  for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
+    if (dir_.slot_live(slot)) copy->manufacture_row(slot, dir_.ids[slot]);
   copy->dir_ = dir_;
   copy->id_to_slot_ = id_to_slot_;
-  copy->functional_backend_->ensure_slots(dir_.slots());
   copy->next_auto_id_ = next_auto_id_;
   copy->identity_layout_ = identity_layout_;
   copy->load_energy_ = load_energy_;

@@ -21,9 +21,13 @@
 // determinism rule 8. Mutation errors are typed (asmcap/db_error.h) and
 // validated in full before any state changes.
 //
-// Ownership: the accelerator owns its array units, backends, controller,
-// and session pool; backends hold non-owning references into it (hence
-// not movable). Thread-safety: the mutating entry points (load_reference,
+// Ownership: the accelerator owns its rows, silicon, backends,
+// controller, and session pool. A bank stores each row's bases once, in
+// one PackedRowMatrix indexed by slot, which both backends read; the
+// analog silicon is one ChargeArrayReadout per manufactured array, read
+// only by the circuit backend. Backends hold non-owning references into
+// the accelerator (hence not movable).
+// Thread-safety: the mutating entry points (load_reference,
 // append_segments, remove_segments, search, search_batch, set_*) belong
 // to one control thread at a time; execute() is const and thread-safe and
 // is what the batch engine, the sharded router, and the streaming service
@@ -41,7 +45,7 @@
 #include <utility>
 #include <vector>
 
-#include "asmcap/array_unit.h"
+#include "align/kernels.h"
 #include "asmcap/backend.h"
 #include "asmcap/config.h"
 #include "asmcap/controller.h"
@@ -82,8 +86,8 @@ class AsmcapAccelerator {
  public:
   explicit AsmcapAccelerator(AsmcapConfig config);
 
-  // Not movable: the backends hold pointers into units_ and the live
-  // directory, which a move would leave dangling.
+  // Not movable: the backends hold pointers into rows_, readouts_ and the
+  // live directory, which a move would leave dangling.
   AsmcapAccelerator(AsmcapAccelerator&&) = delete;
   AsmcapAccelerator& operator=(AsmcapAccelerator&&) = delete;
 
@@ -115,10 +119,10 @@ class AsmcapAccelerator {
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
   /// Deep copy with the exact same row layout, ids, tombstones, silicon
-  /// (per-id keyed, so replaying the writes reproduces it), RNG state, and
-  /// load ledger — the copy-on-write primitive of the sharded router's
-  /// epoch scheme: search results on the clone are bit-identical to the
-  /// original, energy included.
+  /// (per-id keyed, so re-manufacturing the live rows reproduces it), RNG
+  /// state, and load ledger — the copy-on-write primitive of the sharded
+  /// router's epoch scheme: search results on the clone are bit-identical
+  /// to the original, energy included.
   std::unique_ptr<AsmcapAccelerator> clone() const;
 
   /// True while every slot s still holds id segment_base + s (always true
@@ -198,10 +202,13 @@ class AsmcapAccelerator {
  private:
   void check_read(const Sequence& read) const;
   void check_loaded() const;
-  void ensure_units(std::size_t arrays);
+  /// Manufactures the arrays up to `slot`'s on first use (per-array
+  /// streams), then re-manufactures the row's silicon from `id`'s stream.
+  /// Throws DbError (CapacityExceeded) past config.array_count.
+  void manufacture_row(std::size_t slot, std::uint64_t id);
   /// The shared write path: stores (id, segment) at `slot`, re-manufactures
   /// the row's silicon from the per-id stream, and updates the directory
-  /// and the packed functional row. No cost accounting.
+  /// and the packed row. No cost accounting.
   void write_slot(std::size_t slot, std::uint64_t id,
                   const Sequence& segment);
   /// Converts a slot-indexed execute() result into the id-indexed shape
@@ -219,7 +226,9 @@ class AsmcapAccelerator {
   /// (Rng(silicon_seed or seed).fork(0x51C0)); row silicon forks per
   /// global id, construction-time array silicon per array index.
   Rng silicon_root_;
-  std::vector<AsmcapArrayUnit> units_;  ///< Manufactured on demand.
+  PackedRowMatrix rows_;  ///< Row bases, one packed row per slot.
+  /// Per-array silicon (capacitors + SA offsets), manufactured on demand.
+  std::vector<ChargeArrayReadout> readouts_;
   LiveDirectory dir_;
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
   std::unique_ptr<CircuitBackend> circuit_backend_;

@@ -3,10 +3,11 @@
 // the per-segment match decisions (engine layering: planner -> backend ->
 // batch engine). Two implementations share one interface:
 //
-//  * CircuitBackend — cell-accurate: every pass walks the manufactured
-//    array units (capacitor mismatch, settled matchline voltages, SA noise
-//    unless ideal_sensing). This is the fidelity path the paper's accuracy
-//    claims rest on.
+//  * CircuitBackend — cell-accurate: every pass builds each live row's
+//    mismatch mask and settles it over that row's manufactured silicon
+//    (capacitor mismatch, settled matchline voltages, SA noise unless
+//    ideal_sensing). This is the fidelity path the paper's accuracy claims
+//    rest on.
 //  * FunctionalBackend — fast: the same match decisions computed with the
 //    word-parallel ED*/Hamming kernels and nominal analytic energy, an
 //    order of magnitude faster for large sweeps. Under ideal_sensing the
@@ -22,13 +23,14 @@
 //    test_edam).
 //
 // Ownership: backends are owned by their accelerator and hold non-owning
-// references into it (both read the accelerator's LiveDirectory; the
-// functional backend additionally owns a packed copy of the slots, kept in
-// sync by the accelerator's write path); the accelerator must outlive
-// them.
+// references into it and own no rows. A bank's bases live once, in the
+// accelerator's PackedRowMatrix, which both backends of a pair sweep; the
+// circuit backends also read the accelerator's per-array readout silicon,
+// and the ASMCap pair reads its LiveDirectory. The accelerator must
+// outlive them.
 // Thread-safety: run_pass is const and thread-safe — concurrent batch
 // workers share one backend, each supplying its own forked RNG stream.
-// Mutations (which rewrite the directory and packed rows) never run
+// Mutations (which rewrite the directory, packed rows and silicon) never run
 // against a backend with passes in flight: the sharded router mutates
 // CLONES and publishes them as a new epoch, so in-flight work only ever
 // reads immutable snapshots (docs/architecture.md "Live database").
@@ -60,9 +62,9 @@
 #include <vector>
 
 #include "align/kernels.h"
-#include "asmcap/array_unit.h"
 #include "asmcap/config.h"
-#include "cam/array.h"
+#include "cam/cell.h"
+#include "cam/charge_readout.h"
 #include "cam/current_readout.h"
 #include "cam/periphery.h"
 #include "genome/sequence.h"
@@ -150,6 +152,13 @@ struct PassResult {
   }
 };
 
+/// Mismatch mask (the cell outputs O driving the matchline) of one packed
+/// row against `view` in `mode`: what both circuit backends settle over a
+/// row's manufactured silicon. `view` needs its neighbour alignments for
+/// ED* mode only.
+BitVec row_mismatch_mask(const std::uint64_t* row, const PackedReadView& view,
+                         MatchMode mode);
+
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
@@ -167,17 +176,25 @@ class ExecutionBackend {
                         std::uint64_t pass_salt, PassResult& out) const = 0;
 };
 
-/// Cell-accurate backend wrapping the manufactured AsmcapArrayUnit bank.
-/// Holds non-owning references into the accelerator (the unit vector and
-/// the live directory — both stable objects whose contents the accelerator
-/// mutates on the control plane); the accelerator must outlive it. An
-/// array with zero live rows is skipped whole — no SL-driver energy — and
-/// a tombstoned row decides nothing and draws no RNG fork (per-decision
-/// streams are pure per-id forks, so skipping shifts no other draw).
+/// Cell-accurate backend over the accelerator's packed rows and per-array
+/// charge-domain readouts. Holds non-owning references into the
+/// accelerator (the row matrix, the readout vector and the live directory
+/// — stable objects whose contents the accelerator mutates on the control
+/// plane); the accelerator must outlive it. A pass shares one
+/// PackedReadView across the bank, builds each live row's mismatch mask
+/// from the packed row and settles it over that row's capacitors. An array
+/// with zero live rows is skipped whole — no SL-driver energy — and a
+/// tombstoned row is never evaluated: it decides nothing, draws no RNG
+/// fork (per-decision streams are pure per-id forks, so skipping shifts no
+/// other draw) and adds no matchline energy (a dead row presents the
+/// all-mismatch mask, whose energy k(n−k)/n at k = n is exactly 0). A
+/// pass's energy sums, per array, the SL drive and then the live rows in
+/// ascending order.
 class CircuitBackend : public ExecutionBackend {
  public:
-  CircuitBackend(const std::vector<AsmcapArrayUnit>& units,
-                 const LiveDirectory& directory, std::size_t array_rows);
+  CircuitBackend(const AsmcapConfig& config, const PackedRowMatrix& rows,
+                 const std::vector<ChargeArrayReadout>& readouts,
+                 const LiveDirectory& directory);
 
   const char* name() const override { return "circuit"; }
   std::size_t segment_count() const override { return dir_->slots(); }
@@ -186,95 +203,87 @@ class CircuitBackend : public ExecutionBackend {
                 PassResult& out) const override;
 
  private:
-  const std::vector<AsmcapArrayUnit>* units_;
+  const PackedRowMatrix* rows_;
+  const std::vector<ChargeArrayReadout>* readouts_;
   const LiveDirectory* dir_;
   std::size_t array_rows_;
+  bool ideal_sensing_;
+  double sl_energy_;  ///< SL-driver energy of one array drive.
 };
 
 /// Fast functional backend: SIMD-dispatched block kernels
-/// (align/kernels.h) over a row-major 2-bit packed slot matrix, ideal
-/// (noise-free) decisions, nominal analytic energy. Each pass builds one
-/// PackedReadView — the read-derived neighbour alignments are computed
-/// once per (read, rotation), not once per (segment, read). The packed
-/// matrix is owned here and kept row-aligned with the accelerator's slots
-/// by write_slot (the live-database append path); tombstoned slots are
-/// masked out of decisions and row energy by the directory's live words,
-/// and SL-driver energy is charged only for arrays with at least one live
-/// row. Matchline energy is booked in the count domain (paper Eq. 1 with
-/// nominal capacitors): the pass sums k(n−k) over its live rows as an
-/// exact integer and multiplies by C·V²/n once, so a pass's energy is
+/// (align/kernels.h) over the accelerator's row-major 2-bit packed slot
+/// matrix, ideal (noise-free) decisions, nominal analytic energy. Each
+/// pass builds one PackedReadView — the read-derived neighbour alignments
+/// are computed once per (read, rotation), not once per (segment, read).
+/// Tombstoned slots are masked out of decisions and row energy by the
+/// directory's live words, and SL-driver energy is charged only for arrays
+/// with at least one live row. Matchline energy is booked in the count
+/// domain (paper Eq. 1 with nominal capacitors): the pass sums k(n−k) over
+/// its live rows as an exact integer and multiplies by C·V²/n once, so a
+/// pass's energy is
 ///   arrays_in_use · E_SL · n + (Σ k(n−k)) / n · C · V²
 /// whatever order the rows were counted in.
 class FunctionalBackend : public ExecutionBackend {
  public:
-  FunctionalBackend(const AsmcapConfig& config,
+  FunctionalBackend(const AsmcapConfig& config, const PackedRowMatrix& rows,
                     const LiveDirectory& directory);
 
-  /// (Re)writes one slot's packed row, growing the matrix as needed.
-  void write_slot(std::size_t slot, const Sequence& segment);
-  /// Grows the matrix to `slots` zero rows (trailing tombstones).
-  void ensure_slots(std::size_t slots);
-
   const char* name() const override { return "functional"; }
-  std::size_t segment_count() const override { return rows_; }
+  std::size_t segment_count() const override { return rows_->rows(); }
   void run_pass(const Sequence& read, MatchMode mode, std::size_t threshold,
                 const Rng& query_rng, std::uint64_t pass_salt,
                 PassResult& out) const override;
 
  private:
+  const PackedRowMatrix* rows_;
   const LiveDirectory* dir_;
-  std::vector<std::uint64_t> words_;  ///< Row-major packed slots.
-  std::size_t rows_ = 0;
-  std::size_t cols_;
-  std::size_t words_per_row_;
   ChargeDomainParams charge_;
   SearchlineDriverParams sl_params_;
 };
 
-/// Cell-accurate EDAM backend: current-domain sensing over the
-/// manufactured CamArray/CurrentArrayReadout bank. Holds non-owning
-/// references into the EdamAccelerator; the accelerator must outlive it.
+/// Cell-accurate EDAM backend: current-domain sensing of the accelerator's
+/// packed rows over its manufactured CurrentArrayReadout bank. Holds
+/// non-owning references into the EdamAccelerator; the accelerator must
+/// outlive it.
 class EdamCircuitBackend : public ExecutionBackend {
  public:
-  EdamCircuitBackend(const std::vector<CamArray>& arrays,
+  EdamCircuitBackend(const PackedRowMatrix& rows,
                      const std::vector<CurrentArrayReadout>& readouts,
-                     std::size_t segment_count, std::size_t array_rows,
-                     bool ideal_sensing, std::size_t segment_base = 0);
+                     std::size_t array_rows, bool ideal_sensing);
 
   const char* name() const override { return "edam-circuit"; }
-  std::size_t segment_count() const override { return segment_count_; }
+  std::size_t segment_count() const override { return rows_->rows(); }
   void run_pass(const Sequence& read, MatchMode mode, std::size_t threshold,
                 const Rng& query_rng, std::uint64_t pass_salt,
                 PassResult& out) const override;
 
  private:
-  const std::vector<CamArray>* arrays_;
+  const PackedRowMatrix* rows_;
   const std::vector<CurrentArrayReadout>* readouts_;
-  std::size_t segment_count_;
   std::size_t array_rows_;
   bool ideal_sensing_;
-  std::size_t segment_base_;
 };
 
-/// Fast EDAM backend: word-parallel kernels over 2-bit packed segments,
-/// ideal (noise-free) decisions, and the count-pure current-domain energy
-/// model — bit-identical energy to EdamCircuitBackend (the energy of a
-/// current-domain search does not depend on the manufactured currents).
+/// Fast EDAM backend: word-parallel kernels over the accelerator's packed
+/// rows, ideal (noise-free) decisions, and the count-pure current-domain
+/// energy model — bit-identical energy to EdamCircuitBackend (the energy
+/// of a current-domain search does not depend on the manufactured
+/// currents). Holds a non-owning reference to the row matrix.
 class EdamFunctionalBackend : public ExecutionBackend {
  public:
-  EdamFunctionalBackend(const std::vector<Sequence>& segments,
-                        const CurrentDomainParams& params, std::size_t cols);
+  EdamFunctionalBackend(const PackedRowMatrix& rows,
+                        const CurrentDomainParams& params);
 
   const char* name() const override { return "edam-functional"; }
-  std::size_t segment_count() const override { return packed_.rows(); }
+  std::size_t segment_count() const override { return rows_->rows(); }
   void run_pass(const Sequence& read, MatchMode mode, std::size_t threshold,
                 const Rng& query_rng, std::uint64_t pass_salt,
                 PassResult& out) const override;
 
  private:
-  PackedRowMatrix packed_;  ///< Row-major packed segments.
+  const PackedRowMatrix* rows_;
   CurrentDomainParams params_;
-  std::size_t cols_;
 };
 
 }  // namespace asmcap

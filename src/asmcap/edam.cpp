@@ -37,43 +37,36 @@ EdamAccelerator::EdamAccelerator(EdamConfig config)
 void EdamAccelerator::load_reference(const std::vector<Sequence>& segments) {
   // Same typed error path as the live ASMCap database (asmcap/db_error.h),
   // so callers comparing the two accelerators branch on one error model.
-  if (segments_loaded_ != 0)
+  if (rows_.rows() != 0)
     throw DbError(DbErrorKind::AlreadyLoaded,
                   "EdamAccelerator: reference already loaded");
   if (segments.size() > config_.capacity_segments())
     throw DbError(DbErrorKind::CapacityExceeded,
                   "EdamAccelerator: capacity exceeded");
-  arrays_in_use_ =
+  rows_ = PackedRowMatrix(segments, config_.array_cols);
+  const std::size_t arrays =
       (segments.size() + config_.array_rows - 1) / config_.array_rows;
   Rng manufacture = rng_.fork(0xEDA1);
-  arrays_.reserve(arrays_in_use_);
-  readouts_.reserve(arrays_in_use_);
-  for (std::size_t a = 0; a < arrays_in_use_; ++a) {
-    arrays_.emplace_back(config_.array_rows, config_.array_cols);
+  readouts_.reserve(arrays);
+  for (std::size_t a = 0; a < arrays; ++a)
     readouts_.emplace_back(config_.array_rows, config_.array_cols,
                            config_.current, manufacture);
-  }
-  for (std::size_t i = 0; i < segments.size(); ++i)
-    arrays_[i / config_.array_rows].write_row(i % config_.array_rows,
-                                              segments[i]);
-  segments_loaded_ = segments.size();
 
   circuit_backend_ = std::make_unique<EdamCircuitBackend>(
-      arrays_, readouts_, segments_loaded_, config_.array_rows,
-      config_.ideal_sensing);
-  functional_backend_ = std::make_unique<EdamFunctionalBackend>(
-      segments, config_.current, config_.array_cols);
+      rows_, readouts_, config_.array_rows, config_.ideal_sensing);
+  functional_backend_ =
+      std::make_unique<EdamFunctionalBackend>(rows_, config_.current);
 }
 
 const ExecutionBackend& EdamAccelerator::backend() const {
-  if (segments_loaded_ == 0)
+  if (rows_.rows() == 0)
     throw std::logic_error("EdamAccelerator: no reference loaded");
   if (backend_kind_ == BackendKind::Functional) return *functional_backend_;
   return *circuit_backend_;
 }
 
 void EdamAccelerator::check_read(const Sequence& read) const {
-  if (segments_loaded_ == 0)
+  if (rows_.rows() == 0)
     throw std::logic_error("EdamAccelerator: no reference loaded");
   if (read.size() != config_.array_cols)
     throw std::invalid_argument("EdamAccelerator: read width mismatch");
@@ -134,7 +127,7 @@ std::vector<EdamQueryResult> EdamAccelerator::search_batch(
     std::size_t workers) {
   for (const Sequence& read : reads) check_read(read);
   if (reads.empty()) {
-    if (segments_loaded_ == 0)
+    if (rows_.rows() == 0)
       throw std::logic_error("EdamAccelerator: no reference loaded");
     return {};
   }

@@ -7,10 +7,12 @@
 // AsmcapAccelerator: a cell-accurate EdamCircuitBackend and a word-parallel
 // EdamFunctionalBackend (see backend.h), switchable at runtime.
 //
-// Ownership: the accelerator owns its arrays, readouts, backends, and
-// session pool; backends hold non-owning references into it (hence not
-// movable). Thread-safety: the mutating entry points (load_reference,
-// set_backend, search_batch) belong to one control thread at a time;
+// Ownership: the accelerator owns its packed rows (the one copy of the
+// loaded segments, swept by both backends), its per-array current-domain
+// readouts, its backends, and its session pool; backends hold non-owning
+// references into it (hence not movable).
+// Thread-safety: the mutating entry points (load_reference, set_backend,
+// search_batch) belong to one control thread at a time;
 // search() is const and thread-safe — it is what search_batch fans across
 // workers.
 //
@@ -30,8 +32,8 @@
 #include <vector>
 
 #include "align/edstar.h"
+#include "align/kernels.h"
 #include "asmcap/backend.h"
-#include "cam/array.h"
 #include "cam/current_readout.h"
 #include "circuit/process.h"
 #include "circuit/timing.h"
@@ -67,8 +69,8 @@ class EdamAccelerator {
  public:
   explicit EdamAccelerator(EdamConfig config);
 
-  // Not movable: the backends hold pointers into arrays_/readouts_, which
-  // a move would leave dangling.
+  // Not movable: the backends hold pointers into rows_/readouts_, which a
+  // move would leave dangling.
   EdamAccelerator(EdamAccelerator&&) = delete;
   EdamAccelerator& operator=(EdamAccelerator&&) = delete;
 
@@ -104,7 +106,7 @@ class EdamAccelerator {
     return pool_.get(workers);
   }
 
-  std::size_t loaded_segments() const { return segments_loaded_; }
+  std::size_t loaded_segments() const { return rows_.rows(); }
   const EdamConfig& config() const { return config_; }
   double search_time() const { return config_.current.search_time(); }
 
@@ -118,13 +120,11 @@ class EdamAccelerator {
                           const Rng& query_rng) const;
 
   EdamConfig config_;
-  std::vector<CamArray> arrays_;
-  std::vector<CurrentArrayReadout> readouts_;
+  PackedRowMatrix rows_;  ///< The loaded segments, one packed row each.
+  std::vector<CurrentArrayReadout> readouts_;  ///< Silicon, per array.
   std::unique_ptr<EdamCircuitBackend> circuit_backend_;
   std::unique_ptr<EdamFunctionalBackend> functional_backend_;
   BackendKind backend_kind_ = BackendKind::Circuit;
-  std::size_t segments_loaded_ = 0;
-  std::size_t arrays_in_use_ = 0;
   Rng rng_;  ///< Master stream: forked per query, never advanced.
   SessionPool pool_;
 };

@@ -13,70 +13,69 @@
 namespace asmcap {
 
 EdamCircuitBackend::EdamCircuitBackend(
-    const std::vector<CamArray>& arrays,
-    const std::vector<CurrentArrayReadout>& readouts,
-    std::size_t segment_count, std::size_t array_rows, bool ideal_sensing,
-    std::size_t segment_base)
-    : arrays_(&arrays),
+    const PackedRowMatrix& rows,
+    const std::vector<CurrentArrayReadout>& readouts, std::size_t array_rows,
+    bool ideal_sensing)
+    : rows_(&rows),
       readouts_(&readouts),
-      segment_count_(segment_count),
       array_rows_(array_rows),
-      ideal_sensing_(ideal_sensing),
-      segment_base_(segment_base) {}
+      ideal_sensing_(ideal_sensing) {}
 
 void EdamCircuitBackend::run_pass(const Sequence& read, MatchMode mode,
                                   std::size_t threshold, const Rng& query_rng,
                                   std::uint64_t pass_salt,
                                   PassResult& out) const {
+  if (read.size() != rows_->cols())
+    throw std::invalid_argument("EdamCircuitBackend: read width mismatch");
   const Rng pass_rng = query_rng.fork(pass_salt);
-  out.reset(segment_count_);
-  for (std::size_t a = 0; a < arrays_->size(); ++a) {
-    const auto masks = (*arrays_)[a].search_masks(read, mode);
-    for (std::size_t r = 0; r < array_rows_; ++r) {
-      const std::size_t global = a * array_rows_ + r;
-      if (global >= segment_count_) break;
-      // Sensing noise keyed by global segment id: placement-invariant.
-      Rng decide_rng = pass_rng.fork(
-          static_cast<std::uint64_t>(segment_base_ + global));
-      double row_energy = 0.0;
-      const RowDecision decision = (*readouts_)[a].measure_row(
-          r, masks[r], threshold, decide_rng, &row_energy);
-      out.energy_joules += row_energy;
-      if (ideal_sensing_ ? masks[r].popcount() <= threshold : decision.match)
-        out.set(global);
-    }
+  const std::size_t rows = rows_->rows();
+  out.reset(rows);
+  // One shared PackedReadView per pass; each row's mismatch mask comes
+  // from its packed words.
+  const PackedReadView view(read, mode != MatchMode::Hamming);
+  for (std::size_t g = 0; g < rows; ++g) {
+    const BitVec mask = row_mismatch_mask(rows_->row(g), view, mode);
+    // Sensing noise keyed by global segment id: placement-invariant.
+    Rng decide_rng = pass_rng.fork(static_cast<std::uint64_t>(g));
+    double row_energy = 0.0;
+    const RowDecision decision =
+        (*readouts_)[g / array_rows_].measure_row(
+            g % array_rows_, mask, threshold, decide_rng, &row_energy);
+    out.energy_joules += row_energy;
+    if (ideal_sensing_ ? mask.popcount() <= threshold : decision.match)
+      out.set(g);
   }
 }
 
 EdamFunctionalBackend::EdamFunctionalBackend(
-    const std::vector<Sequence>& segments, const CurrentDomainParams& params,
-    std::size_t cols)
-    : packed_(segments, cols), params_(params), cols_(cols) {}
+    const PackedRowMatrix& rows, const CurrentDomainParams& params)
+    : rows_(&rows), params_(params) {}
 
 void EdamFunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
                                      std::size_t threshold,
                                      const Rng& /*query_rng*/,
                                      std::uint64_t /*pass_salt*/,
                                      PassResult& out) const {
-  if (read.size() != cols_)
+  const std::size_t rows = rows_->rows();
+  const std::size_t cols = rows_->cols();
+  if (read.size() != cols)
     throw std::invalid_argument("EdamFunctionalBackend: read width mismatch");
   // Read-derived work once per (read, rotation), then one SIMD-dispatched
   // block sweep over the whole packed segment matrix into per-thread
   // count scratch.
   const PackedReadView view(read, mode != MatchMode::Hamming);
-  const std::size_t rows = packed_.rows();
   thread_local std::vector<std::uint32_t> counts;
   if (counts.size() < rows) counts.resize(rows);
   const KernelOps& ops = active_kernel_ops();
   (mode == MatchMode::Hamming ? ops.hamming_block : ops.ed_star_block)(
-      packed_.data(), rows, view, counts.data());
+      rows_->data(), rows, view, counts.data());
 
   // Energy stays a per-row sum in row order: that is what keeps it
   // bit-identical to EdamCircuitBackend's row-by-row readout.
   out.reset(rows);
   for (std::size_t g = 0; g < rows; ++g) {
     if (counts[g] <= threshold) out.set(g);
-    out.energy_joules += current_row_search_energy(counts[g], cols_, params_);
+    out.energy_joules += current_row_search_energy(counts[g], cols, params_);
   }
 }
 

@@ -7,35 +7,21 @@
 namespace asmcap {
 
 FunctionalBackend::FunctionalBackend(const AsmcapConfig& config,
+                                     const PackedRowMatrix& rows,
                                      const LiveDirectory& directory)
-    : dir_(&directory),
-      cols_(config.array_cols),
-      words_per_row_((config.array_cols + 31) / 32),
+    : rows_(&rows),
+      dir_(&directory),
       charge_(config.process.charge),
       sl_params_() {}
-
-void FunctionalBackend::ensure_slots(std::size_t slots) {
-  if (slots <= rows_) return;
-  words_.resize(slots * words_per_row_, 0);
-  rows_ = slots;
-}
-
-void FunctionalBackend::write_slot(std::size_t slot,
-                                   const Sequence& segment) {
-  if (segment.size() != cols_)
-    throw std::invalid_argument("FunctionalBackend: segment width mismatch");
-  ensure_slots(slot + 1);
-  const std::vector<std::uint64_t> packed = segment.packed_words();
-  std::copy(packed.begin(), packed.end(),
-            words_.begin() + slot * words_per_row_);
-}
 
 void FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
                                  std::size_t threshold,
                                  const Rng& /*query_rng*/,
                                  std::uint64_t /*pass_salt*/,
                                  PassResult& out) const {
-  if (read.size() != cols_)
+  const std::size_t rows = rows_->rows();
+  const std::size_t cols = rows_->cols();
+  if (read.size() != cols)
     throw std::invalid_argument("FunctionalBackend: read width mismatch");
   // Read-derived work once per (read, rotation), then one SIMD-dispatched
   // block sweep over the whole packed slot matrix (tombstoned slots are
@@ -44,21 +30,21 @@ void FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
   // neighbour alignments.
   const PackedReadView view(read, mode != MatchMode::Hamming);
   thread_local std::vector<std::uint32_t> counts;
-  if (counts.size() < rows_) counts.resize(rows_);
+  if (counts.size() < rows) counts.resize(rows);
   const KernelOps& ops = active_kernel_ops();
   (mode == MatchMode::Hamming ? ops.hamming_block : ops.ed_star_block)(
-      words_.data(), rows_, view, counts.data());
+      rows_->data(), rows, view, counts.data());
 
   // Decisions a word at a time, masked by the live words; matchline
   // energy as the exact integer sum of k(n-k) over live rows.
-  out.reset(rows_);
-  const std::uint64_t n = cols_;
+  out.reset(rows);
+  const std::uint64_t n = cols;
   std::uint64_t mismatch_products = 0;
   for (std::size_t w = 0; w < out.words.size(); ++w) {
     const std::uint64_t live = dir_->live_word(w);
     if (live == 0) continue;
     const std::size_t first = w * 64;
-    const std::size_t lanes = std::min<std::size_t>(64, rows_ - first);
+    const std::size_t lanes = std::min<std::size_t>(64, rows - first);
     const std::uint32_t* row_counts = counts.data() + first;
     std::uint64_t hits = 0;
     for (std::size_t j = 0; j < lanes; ++j) {
@@ -74,8 +60,8 @@ void FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,
   // never driven (same SL gating as the circuit path).
   out.energy_joules =
       static_cast<double>(dir_->arrays_in_use()) * sl_params_.energy_per_base *
-          static_cast<double>(cols_) +
-      static_cast<double>(mismatch_products) / static_cast<double>(cols_) *
+          static_cast<double>(cols) +
+      static_cast<double>(mismatch_products) / static_cast<double>(cols) *
           charge_.cap_mean * charge_.vdd * charge_.vdd;
 }
 

@@ -92,7 +92,9 @@ IngestStats ingest_reference(ShardedAccelerator& db, SeqStreamReader& reader,
     }
   }
   flush();
-  if (options.compact_after) db.compact();
+  // Nothing ingested leaves nothing to fold (and a never-loaded router
+  // cannot compact): the caller sees stats.segments == 0.
+  if (options.compact_after && stats.segments != 0) db.compact();
 
   stats.bases = reader.bases();
   stats.ambiguous_bases = reader.ambiguous_bases();

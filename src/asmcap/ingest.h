@@ -44,7 +44,8 @@ struct IngestOptions {
   /// false.
   bool pad_final_tile = true;
   /// Fold the hot staging banks into cold storage once ingestion
-  /// finishes (ShardedAccelerator::compact).
+  /// finishes (ShardedAccelerator::compact). Skipped when the stream
+  /// yielded no segment.
   bool compact_after = true;
 };
 

@@ -2,7 +2,7 @@
 
 #include "align/edstar.h"
 #include "align/hamming.h"
-#include "cam/array.h"
+#include "align/kernels.h"
 #include "cam/cell.h"
 #include "cam/charge_readout.h"
 #include "cam/current_readout.h"
@@ -50,68 +50,80 @@ TEST(EdamCell, AlwaysEdStarMode) {
   EXPECT_TRUE(cell.mismatch(Sequence::from_string("AAAA"), 2));
 }
 
-TEST(CamArray, WriteAndReadBack) {
-  CamArray array(4, 8);
-  EXPECT_EQ(array.valid_rows(), 0u);
+// A bank stores its rows once, 2-bit packed (align/kernels.h); the write
+// and read-back path of the CAM array is the packed store's round trip.
+TEST(PackedRows, WriteAndReadBack) {
+  PackedRowMatrix rows({}, 8);
+  EXPECT_EQ(rows.rows(), 0u);
   const Sequence segment = Sequence::from_string("ACGTACGT");
-  array.write_row(1, segment);
-  EXPECT_TRUE(array.row_valid(1));
-  EXPECT_FALSE(array.row_valid(0));
-  EXPECT_EQ(array.row_segment(1), segment);
-  EXPECT_THROW(array.row_segment(0), std::logic_error);
-  array.invalidate_row(1);
-  EXPECT_FALSE(array.row_valid(1));
+  rows.write_row(1, segment);
+  EXPECT_EQ(rows.rows(), 2u);
+  EXPECT_EQ(rows.unpack_row(1), segment);
+  EXPECT_EQ(rows.unpack_row(0), Sequence::from_string("AAAAAAAA"));
+  rows.write_row(1, Sequence::from_string("TTTTGGGG"));
+  EXPECT_EQ(rows.unpack_row(1), Sequence::from_string("TTTTGGGG"));
+  EXPECT_THROW(rows.unpack_row(2), std::out_of_range);
 }
 
-TEST(CamArray, DimensionValidation) {
-  EXPECT_THROW(CamArray(0, 8), std::invalid_argument);
-  CamArray array(2, 8);
-  EXPECT_THROW(array.write_row(5, Sequence::from_string("ACGTACGT")),
-               std::out_of_range);
-  EXPECT_THROW(array.write_row(0, Sequence::from_string("AC")),
+TEST(PackedRows, DimensionValidation) {
+  PackedRowMatrix rows({}, 8);
+  EXPECT_THROW(rows.write_row(0, Sequence::from_string("AC")),
+               std::invalid_argument);
+  EXPECT_EQ(rows.rows(), 0u);  // a rejected write allocates nothing
+  EXPECT_THROW(PackedRowMatrix({Sequence::from_string("ACG")}, 8),
                std::invalid_argument);
 }
 
-TEST(CamArray, SearchCountsMatchAlignKernels) {
+TEST(PackedRows, SearchCountsMatchAlignKernels) {
   Rng rng(301);
-  CamArray array(8, 64);
-  std::vector<Sequence> rows;
-  for (std::size_t r = 0; r < 8; ++r) {
-    rows.push_back(Sequence::random(64, rng));
-    array.write_row(r, rows.back());
-  }
+  std::vector<Sequence> segments;
+  for (std::size_t r = 0; r < 8; ++r)
+    segments.push_back(Sequence::random(64, rng));
+  const PackedRowMatrix rows(segments, 64);
   const Sequence read = Sequence::random(64, rng);
-  const auto star = array.search_counts(read, MatchMode::EdStar);
-  const auto ham = array.search_counts(read, MatchMode::Hamming);
+  const PackedReadView view(read);
+  std::vector<std::uint32_t> star(8), ham(8);
+  ed_star_packed_block(rows.data(), rows.rows(), view, star.data());
+  hamming_packed_block(rows.data(), rows.rows(), view, ham.data());
   for (std::size_t r = 0; r < 8; ++r) {
-    EXPECT_EQ(star[r], ed_star(rows[r], read));
-    EXPECT_EQ(ham[r], hamming_distance(rows[r], read));
+    EXPECT_EQ(star[r], ed_star(segments[r], read));
+    EXPECT_EQ(ham[r], hamming_distance(segments[r], read));
     EXPECT_LE(star[r], ham[r]);
   }
 }
 
-TEST(CamArray, InvalidRowsReportAllMismatch) {
-  Rng rng(303);
-  CamArray array(3, 32);
-  array.write_row(1, Sequence::random(32, rng));
-  const Sequence read = Sequence::random(32, rng);
-  const auto counts = array.search_counts(read, MatchMode::EdStar);
-  EXPECT_EQ(counts[0], 32u);  // invalid -> can never pass any threshold
-  EXPECT_EQ(counts[2], 32u);
-  EXPECT_LT(counts[1], 32u);
-  const auto masks = array.search_masks(read, MatchMode::EdStar);
-  EXPECT_EQ(masks[0].popcount(), 32u);
+// A tombstoned row is never evaluated; that is exact because its
+// all-mismatch matchline charges exactly zero search energy and can never
+// pass a threshold below the width.
+TEST(PackedRows, DeadRowAllMismatchChargesNoEnergy) {
+  Rng silicon(303);
+  const ChargeArrayReadout readout(3, 32, ChargeDomainParams{}, silicon);
+  const BitVec all_mismatch(32, true);
+  EXPECT_EQ(all_mismatch.popcount(), 32u);
+  for (std::size_t r = 0; r < 3; ++r)
+    EXPECT_EQ(readout.matchline(r).search_energy(32), 0.0);
+  for (std::size_t t = 0; t < 32; ++t)
+    EXPECT_FALSE(ChargeArrayReadout::ideal_decision(32, t));
 }
 
-TEST(CamArray, CellByCellAgreesWithMask) {
-  // The functional array must agree with the per-cell logic model.
+TEST(PackedRows, CellByCellAgreesWithMask) {
+  // The circuit backend's mask path (packed row -> mismatch words -> BitVec)
+  // must agree with the per-cell logic model and the metric definition.
   Rng rng(305);
   const Sequence stored = Sequence::random(48, rng);
   const Sequence read = Sequence::random(48, rng);
-  CamArray array(1, 48);
-  array.write_row(0, stored);
+  const PackedRowMatrix rows({stored}, 48);
+  const PackedReadView view(read);
+  std::vector<std::uint64_t> flags(view.words);
   for (const MatchMode mode : {MatchMode::EdStar, MatchMode::Hamming}) {
-    const BitVec mask = array.row_mismatch_mask(0, read, mode);
+    if (mode == MatchMode::EdStar)
+      ed_star_mismatch_words(rows.row(0), view, flags.data());
+    else
+      hamming_mismatch_words(rows.row(0), view, flags.data());
+    const BitVec mask = lane_flags_to_bitvec(flags.data(), 48);
+    EXPECT_EQ(mask, mode == MatchMode::EdStar
+                        ? ed_star_mismatch_mask(stored, read)
+                        : hamming_mismatch_mask(stored, read));
     for (std::size_t i = 0; i < 48; ++i) {
       const AsmcapCell cell(stored[i]);
       EXPECT_EQ(mask.get(i), cell.mismatch(read, i, mode))

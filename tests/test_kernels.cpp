@@ -217,6 +217,50 @@ TEST(KernelParity, MismatchWordsAgreeWithCountsAndMasks) {
 // bench_batch-style digests: identical decisions under every
 // ASMCAP_KERNEL setting, on both accelerators' functional paths.
 
+// The packed store is a bank's only copy of its rows: every write,
+// overwrite and growth step must unpack to exactly the bases written, and
+// untouched rows must read back as the all-zero (all-'A') row.
+TEST(PackedRowMatrixStore, WriteOverwriteGrowUnpackRoundTrip) {
+  Rng rng(0x57A0);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{31}, std::size_t{32},
+                              std::size_t{33}, std::size_t{128},
+                              std::size_t{256}}) {
+    SCOPED_TRACE(n);
+    PackedRowMatrix matrix({}, n);
+    EXPECT_EQ(matrix.rows(), 0u);
+    EXPECT_EQ(matrix.cols(), n);
+    EXPECT_EQ(matrix.words_per_row(), (n + 31) / 32);
+
+    // Writing past the end grows the matrix; the skipped rows are zero.
+    std::vector<Sequence> expected(5, Sequence(n));
+    expected[3] = Sequence::random(n, rng);
+    matrix.write_row(3, expected[3]);
+    ASSERT_EQ(matrix.rows(), 4u);
+    expected[0] = Sequence::random(n, rng);
+    matrix.write_row(0, expected[0]);
+    // Overwrite in place: no growth, the old bases are gone.
+    expected[3] = Sequence::random(n, rng);
+    matrix.write_row(3, expected[3]);
+    EXPECT_EQ(matrix.rows(), 4u);
+    // Explicit growth adds zero rows and never shrinks.
+    matrix.grow(5);
+    matrix.grow(2);
+    ASSERT_EQ(matrix.rows(), 5u);
+    for (std::size_t g = 0; g < matrix.rows(); ++g)
+      EXPECT_EQ(matrix.unpack_row(g), expected[g]) << "row " << g;
+
+    // The words are exactly Sequence::packed_words (tail bits zero), so
+    // the grown matrix equals one packed in a single shot.
+    const PackedRowMatrix packed(expected, n);
+    for (std::size_t w = 0; w < 5 * matrix.words_per_row(); ++w)
+      EXPECT_EQ(matrix.data()[w], packed.data()[w]) << "word " << w;
+
+    EXPECT_THROW(matrix.unpack_row(5), std::out_of_range);
+    EXPECT_THROW(matrix.write_row(0, Sequence(n + 1)), std::invalid_argument);
+    EXPECT_EQ(matrix.unpack_row(0), expected[0]);  // a failed write changes nothing
+  }
+}
+
 TEST(KernelTierEquivalence, AsmcapDecisionsIdenticalAcrossTiers) {
   TierGuard guard;
   AsmcapConfig config;

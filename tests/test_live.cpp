@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -266,6 +267,41 @@ TEST_F(LiveDbTest, TombstoneRecyclingKeepsIdsStable) {
   } catch (const DbError& error) {
     EXPECT_EQ(error.kind(), DbErrorKind::DuplicateId);
   }
+}
+
+// A bank's rows are stored once, packed; live_segments() unpacks them.
+// After appends, removes and appends into recycled slots it must return
+// exactly the live (id, segment) pairs that were appended — and so must a
+// clone, which copies the packed rows.
+TEST_F(LiveDbTest, LiveSegmentsUnpackExactlyTheAppendedRows) {
+  AsmcapAccelerator accel(bank_config(4));
+  std::map<std::uint64_t, Sequence> expected;
+  const auto append = [&](std::size_t from, std::size_t count) {
+    const std::vector<Sequence> rows(segments_.begin() + from,
+                                     segments_.begin() + from + count);
+    const std::vector<std::uint64_t> ids = accel.append_segments(rows);
+    for (std::size_t i = 0; i < ids.size(); ++i) expected[ids[i]] = rows[i];
+  };
+  const auto remove = [&](const std::vector<std::uint64_t>& ids) {
+    accel.remove_segments(ids);
+    for (const std::uint64_t id : ids) expected.erase(id);
+  };
+  const auto live_as_map = [](const AsmcapAccelerator& bank) {
+    std::map<std::uint64_t, Sequence> out;
+    for (const auto& [id, row] : bank.live_segments())
+      EXPECT_TRUE(out.emplace(id, row).second) << "duplicate id " << id;
+    return out;
+  };
+
+  append(0, 20);                 // slots 0..19, two arrays
+  remove({2, 3, 16, 19});        // tombstones in both arrays
+  append(20, 3);                 // recycles slots 2, 3, 16
+  remove({0, 20});               // one original row, one recycled row
+  append(23, 7);                 // recycles 0, 2, 19, then fresh slots
+  ASSERT_FALSE(accel.identity_layout());
+  EXPECT_EQ(accel.live_segment_count(), expected.size());
+  EXPECT_EQ(live_as_map(accel), expected);
+  EXPECT_EQ(live_as_map(*accel.clone()), expected);
 }
 
 // Hot-bank overflow folds the staging rows into the cold tier mid-append,

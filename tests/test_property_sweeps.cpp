@@ -8,9 +8,9 @@
 #include "align/edit_distance.h"
 #include "align/edstar.h"
 #include "align/hamming.h"
+#include "align/kernels.h"
 #include "align/myers.h"
 #include "asmcap/config.h"
-#include "cam/array.h"
 #include "genome/edits.h"
 
 namespace asmcap {
@@ -73,20 +73,20 @@ TEST_P(KernelSweep, BandedCapMonotone) {
   }
 }
 
-TEST_P(KernelSweep, CamArrayMatchesKernels) {
+TEST_P(KernelSweep, PackedRowsMatchKernels) {
   Rng rng(seed() + 3);
-  CamArray array(4, length());
-  std::vector<Sequence> rows;
-  for (std::size_t r = 0; r < 4; ++r) {
-    rows.push_back(Sequence::random(length(), rng));
-    array.write_row(r, rows.back());
-  }
+  std::vector<Sequence> segments;
+  for (std::size_t r = 0; r < 4; ++r)
+    segments.push_back(Sequence::random(length(), rng));
+  const PackedRowMatrix rows(segments, length());
   const Sequence read = Sequence::random(length(), rng);
-  const auto star = array.search_counts(read, MatchMode::EdStar);
-  const auto ham = array.search_counts(read, MatchMode::Hamming);
+  const PackedReadView view(read);
+  std::vector<std::uint32_t> star(4), ham(4);
+  ed_star_packed_block(rows.data(), rows.rows(), view, star.data());
+  hamming_packed_block(rows.data(), rows.rows(), view, ham.data());
   for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(star[r], ed_star(rows[r], read));
-    EXPECT_EQ(ham[r], hamming_distance(rows[r], read));
+    EXPECT_EQ(star[r], ed_star(segments[r], read));
+    EXPECT_EQ(ham[r], hamming_distance(segments[r], read));
   }
 }
 

@@ -98,4 +98,20 @@ if grep -qv '^{' "$WORK/out.json"; then
   exit 1
 fi
 
-echo "check_e2e: OK ($READS reads, deterministic columns match golden, file and stdin pipe)"
+# A reference that yields no segment (a FASTA holding only a header)
+# must reach the CLI's own error: exit 1, "reference yielded no segments".
+printf '>empty\n' > "$WORK/empty.fa"
+set +e
+"$SEARCH" --reference "$WORK/empty.fa" --reads "$WORK/reads.fq" \
+  --width 128 --output "$WORK/empty.tsv" 2> "$WORK/empty.log"
+EMPTY_EXIT=$?
+set -e
+if [ "$EMPTY_EXIT" != "1" ] ||
+   ! grep -q "reference yielded no segments" "$WORK/empty.log"; then
+  echo "check_e2e: FAIL — empty reference exited $EMPTY_EXIT, expected 1" \
+       "with 'reference yielded no segments'" >&2
+  cat "$WORK/empty.log" >&2
+  exit 1
+fi
+
+echo "check_e2e: OK ($READS reads, deterministic columns match golden, file and stdin pipe, empty reference rejected)"
